@@ -86,7 +86,10 @@ Result<std::vector<KeyedHadamard>> RunImhpJob(const ContractionContext& ctx) {
   const int64_t domain = matrix_begin.back();
   const int free_mode = ctx.free_mode;
 
-  using KMid = std::pair<int32_t, int64_t>;  // (stream, index along mode)
+  // (stream, index along mode). The stream id is 64-bit so the key has no
+  // padding bytes (job_core.h HasNoPaddingBytes); the record stays 16
+  // bytes and the shuffle hash is unchanged for non-negative ids.
+  using KMid = std::pair<int64_t, int64_t>;
   auto reader = [&](int64_t i, ShuffleEmitter<KMid, JoinValue>* em) {
     if (i < nnz) {
       JoinValue v;
@@ -117,7 +120,7 @@ Result<std::vector<KeyedHadamard>> RunImhpJob(const ContractionContext& ctx) {
 
   auto reducer = [&](const KMid& key, std::vector<JoinValue>& values,
                      OutputEmitter<int64_t, HadamardRecord>* out) {
-    const int s = key.first;
+    const int s = static_cast<int>(key.first);
     const int64_t q_count = ctx.cfactors[static_cast<size_t>(s)]->cols();
     std::vector<double> row(static_cast<size_t>(q_count), 0.0);
     for (const JoinValue& v : values) {

@@ -28,15 +28,15 @@
 //   concatenates outputs partition-
 //   ascending; reaps the gang
 //
-// Bit-identity with the in-process engine: a worker shuffles with the same
-// ShuffleEmitter, combines with the same fold, and groups with the same
-// hash map in the same insertion order — per partition, runs are inserted
-// task-ascending with each run's spill-drained records before its buffered
-// records, which is exactly the in-process drain order — so reducer value
-// order, reducer iteration order, and the partition-ascending output
-// concatenation all match byte for byte. Oversized partitions spill
-// through the existing codec in the worker, and each shuffled run crosses
-// the wire as a spill-codec block.
+// Bit-identity with the in-process transport: a worker runs its map tasks,
+// combiner, run drains, grouping and reduce loop through the same job core
+// (mapreduce/job_core.h), and the coordinator folds the workers' task
+// reports with the same FoldTaskReports. Per partition, runs are inserted
+// task-ascending, each with its spill-drained records before its buffered
+// records — the in-process drain order — so reducer value order, reducer
+// iteration order, and the partition-ascending output concatenation all
+// match byte for byte. Each shuffled run crosses the wire as a spill-codec
+// block.
 //
 // Worker death (crash, kill injection, lost/corrupt/timed-out socket) fails
 // the job with failure kind "worker_lost" and kAborted — the transient
@@ -44,20 +44,18 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "distributed/wire.h"
 #include "distributed/worker_pool.h"
 #include "mapreduce/cluster.h"
-#include "mapreduce/hash.h"
+#include "mapreduce/job_core.h"
 #include "mapreduce/shuffle.h"
 #include "mapreduce/spill_codec.h"
 #include "mapreduce/stats.h"
@@ -73,20 +71,25 @@ namespace distributed {
 inline constexpr int kWorkerExitInjectedKill = 17;
 inline constexpr int kWorkerExitProtocolError = 3;
 
-/// Everything a subprocess job needs besides the closures. Pointer members
-/// are not owned.
-struct SubprocessJobEnv {
-  const ClusterConfig* config = nullptr;
-  WorkerPool* pool = nullptr;
-  /// Coordinator-side shuffle budget (nullptr = unlimited); workers run
-  /// unmetered and the coordinator charges the job's raw shuffle width.
-  MemoryTracker* tracker = nullptr;
-  /// Spill-file prefix up to the per-task suffix ("" disables spilling).
-  std::string spill_prefix_base;
-  std::string name;
-  int64_t job_id = -1;
-  int64_t num_input_records = 0;
-};
+/// A frame of job `job` to or from `worker`.
+inline WireFrame JobFrame(FrameType type, int worker, int64_t job,
+                          int64_t a = 0, int64_t b = 0) {
+  WireFrame f;
+  f.type = type;
+  f.worker = worker;
+  f.job = job;
+  f.a = a;
+  f.b = b;
+  return f;
+}
+
+/// The raw bytes of `items` (fixed-size report structs) as a payload.
+template <typename T>
+std::string RawPayload(const std::vector<T>& items) {
+  if (items.empty()) return std::string();
+  return std::string(reinterpret_cast<const char*>(items.data()),
+                     items.size() * sizeof(T));
+}
 
 /// Output-record wire support: keys must be fixed-size; values fixed-size
 /// or std::vector of fixed-size elements (the merge jobs' row vectors).
@@ -180,11 +183,10 @@ Status DeserializeOutputRecords(const std::string& payload,
 template <typename KMid, typename VMid, typename KOut, typename VOut,
           typename ReaderFn, typename ReduceFn>
 int SubprocessWorkerMain(
-    int fd, int worker, const SubprocessJobEnv& env, ReaderFn& reader,
-    ReduceFn& reducer,
+    int fd, int worker, const ClusterConfig& config, const JobShape& shape,
+    int64_t job_id, ReaderFn& reader, ReduceFn& reducer,
     const std::function<VMid(const VMid&, const VMid&)>& combiner) {
   using Record = std::pair<KMid, VMid>;
-  const ClusterConfig& config = *env.config;
   const double timeout = config.worker_io_timeout_seconds;
   WireChannel ch(fd, "coordinator");
 
@@ -197,125 +199,63 @@ int SubprocessWorkerMain(
   WireAssignment asn;
   std::memcpy(&asn, frame.payload.data(), sizeof(asn));
   const int W = asn.num_workers;
-  const int num_tasks = asn.num_tasks;
-  const int num_partitions = asn.num_partitions;
-  if (W <= 0 || worker >= W || num_tasks <= 0 || num_partitions <= 0) {
+  const int num_partitions = shape.num_partitions;
+  if (W <= 0 || worker >= W || asn.num_tasks != shape.num_tasks ||
+      asn.num_partitions != num_partitions) {
     return kWorkerExitProtocolError;
   }
-  const int64_t n = env.num_input_records;
-  const int64_t chunk = (n + num_tasks - 1) / std::max(num_tasks, 1);
 
+  // ---- Map, then combine: tasks {t : t % W == worker}, unmetered (the
+  // coordinator owns the shuffle budget). ----
   std::vector<int> my_tasks;
-  for (int t = worker; t < num_tasks; t += W) my_tasks.push_back(t);
-
-  // ---- Map: same attempt loop, emitters, and spill config as in-process
-  // (unmetered — the coordinator owns the shuffle budget). ----
+  for (int t = worker; t < shape.num_tasks; t += W) my_tasks.push_back(t);
   std::vector<ShuffleEmitter<KMid, VMid>> emitters;
   emitters.reserve(my_tasks.size());
-  std::vector<WireTaskReport> reports(my_tasks.size());
-  bool job_fatal = false;
+  std::vector<TaskReport> reports;
   int64_t completed_tasks = 0;
-  for (size_t i = 0; i < my_tasks.size(); ++i) {
-    const int t = my_tasks[i];
-    std::string spill_prefix;
-    if (!env.spill_prefix_base.empty()) {
-      spill_prefix = env.spill_prefix_base + "_t" + std::to_string(t);
-    }
-    emitters.emplace_back(num_partitions, nullptr, std::move(spill_prefix),
-                          config.spill_threshold_records,
-                          config.spill_compression,
-                          config.inject_spill_failure_after_bytes);
-    ShuffleEmitter<KMid, VMid>& em = emitters.back();
-    WireTaskReport& rep = reports[i];
-    rep.task = t;
-    int attempt = 1;
-    while (attempt <= config.max_task_attempts &&
-           ShouldFailMapAttempt(config, env.job_id,
-                                static_cast<size_t>(t), attempt)) {
-      ++attempt;
-    }
-    rep.attempts = std::min(attempt, config.max_task_attempts);
-    if (attempt > config.max_task_attempts) {
-      rep.flags |= kTaskGaveUp;
-      job_fatal = true;
-    } else {
-      const int64_t begin = static_cast<int64_t>(t) * chunk;
-      const int64_t end = std::min(begin + chunk, n);
-      int64_t processed = 0;
-      for (int64_t r = begin; r < end; ++r) {
-        reader(r, &em);
-        ++processed;
-        if (em.failed()) break;
-      }
-      em.Flush();
-      rep.processed = processed;
-      ++completed_tasks;
-    }
-    if (em.failed()) {
-      rep.flags |= kTaskEmitterIO;
-      job_fatal = true;
-    }
-    rep.pre_combine_records = em.TotalRecords();
-    rep.spilled_records = em.TotalSpilledRecords();
-    rep.spilled_disk_bytes = em.TotalSpilledDiskBytes();
+  for (int t : my_tasks) {
+    emitters.push_back(MakeTaskEmitter<KMid, VMid>(config, shape, t, nullptr));
+    reports.push_back(
+        RunMapTask(config, shape, job_id, t, reader, &emitters.back()));
+    if (!(reports.back().flags & kTaskGaveUp)) ++completed_tasks;
     if (asn.die_after_tasks > 0 && completed_tasks >= asn.die_after_tasks) {
       // Injected worker death: vanish without a word, spill files and all,
       // exactly as a machine loss would.
       ::_exit(kWorkerExitInjectedKill);
     }
   }
-
-  // ---- Combine (in-memory buffers only, like in-process). ----
+  bool job_fatal = AnyTaskFailed(reports);
   if (combiner && !job_fatal) {
-    for (auto& em : emitters) {
-      for (auto& buf : em.buffers()) {
-        CombineShuffleBuffer<KMid, VMid>(&buf, combiner);
-      }
+    for (size_t i = 0; i < my_tasks.size(); ++i) {
+      CombineTask(combiner, &emitters[i], &reports[i]);
     }
   }
-  for (size_t i = 0; i < my_tasks.size(); ++i) {
-    reports[i].post_combine_records = emitters[i].TotalRecords();
-  }
 
-  // ---- Serialize runs before kMapDone so drain failures are reported in
-  // the task flags. Run = one (task, partition)'s records, spill-drained
-  // records first, then the buffer — the in-process grouping order. ----
+  // ---- Encode runs before kMapDone so drain failures are reported in
+  // the task flags. ----
   struct Run {
     int64_t task;
     int64_t partition;
     std::string block;
   };
   std::vector<Run> runs;
-  if (!job_fatal) {
-    for (size_t i = 0; i < my_tasks.size() && !job_fatal; ++i) {
-      ShuffleEmitter<KMid, VMid>& em = emitters[i];
-      for (int p = 0; p < num_partitions; ++p) {
-        std::vector<Record> run;
-        run.reserve(static_cast<size_t>(
-                        em.SpilledRecords(static_cast<size_t>(p))) +
-                    em.buffers()[static_cast<size_t>(p)].size());
-        Status drained = em.DrainSpill(
-            static_cast<size_t>(p),
-            [&run](const Record& rec) { run.push_back(rec); });
-        if (!drained.ok()) {
-          reports[i].flags |= kTaskDrainIO;
-          job_fatal = true;
-          break;
-        }
-        for (auto& rec : em.buffers()[static_cast<size_t>(p)]) {
-          run.push_back(rec);
-        }
-        em.buffers()[static_cast<size_t>(p)].clear();
-        em.buffers()[static_cast<size_t>(p)].shrink_to_fit();
-        if (run.empty()) continue;
-        Run out;
-        out.task = my_tasks[i];
-        out.partition = p;
-        EncodeSpillBlock(reinterpret_cast<const char*>(run.data()),
-                         run.size(), sizeof(Record), sizeof(KMid),
-                         &out.block);
-        runs.push_back(std::move(out));
+  for (size_t i = 0; i < my_tasks.size() && !job_fatal; ++i) {
+    ShuffleEmitter<KMid, VMid>& em = emitters[i];
+    for (size_t p = 0; p < static_cast<size_t>(num_partitions); ++p) {
+      std::vector<Record> run;
+      run.reserve(static_cast<size_t>(em.SpilledRecords(p)) +
+                  em.buffers()[p].size());
+      if (!DrainRun(&em, p, [&run](const Record& rec) { run.push_back(rec); })
+               .ok()) {
+        reports[i].flags |= kTaskSpillReadIO;
+        job_fatal = true;
+        break;
       }
+      if (run.empty()) continue;
+      Run out{my_tasks[i], static_cast<int64_t>(p), std::string()};
+      EncodeSpillBlock(reinterpret_cast<const char*>(run.data()), run.size(),
+                       sizeof(Record), sizeof(KMid), &out.block);
+      runs.push_back(std::move(out));
     }
   }
   if (job_fatal) {
@@ -323,49 +263,33 @@ int SubprocessWorkerMain(
     runs.clear();
   }
 
-  WireFrame done;
-  done.type = FrameType::kMapDone;
-  done.worker = worker;
-  done.job = env.job_id;
-  done.a = static_cast<int64_t>(reports.size());
-  if (!reports.empty()) {
-    done.payload.assign(reinterpret_cast<const char*>(reports.data()),
-                        reports.size() * sizeof(WireTaskReport));
-  }
+  WireFrame done = JobFrame(FrameType::kMapDone, worker, job_id,
+                            static_cast<int64_t>(reports.size()));
+  done.payload = RawPayload(reports);
   if (!ch.WriteFrame(done).ok()) return kWorkerExitProtocolError;
-  for (const Run& r : runs) {
-    WireFrame f;
-    f.type = FrameType::kMapRun;
-    f.worker = worker;
-    f.job = env.job_id;
-    f.a = r.task;
-    f.b = r.partition;
-    f.payload = r.block;
+  for (Run& r : runs) {
+    WireFrame f =
+        JobFrame(FrameType::kMapRun, worker, job_id, r.task, r.partition);
+    f.payload = std::move(r.block);
     if (!ch.WriteFrame(f).ok()) return kWorkerExitProtocolError;
   }
-  WireFrame runs_done;
-  runs_done.type = FrameType::kRunsDone;
-  runs_done.worker = worker;
-  runs_done.job = env.job_id;
-  if (!ch.WriteFrame(runs_done).ok()) return kWorkerExitProtocolError;
+  if (!ch.WriteFrame(JobFrame(FrameType::kRunsDone, worker, job_id)).ok()) {
+    return kWorkerExitProtocolError;
+  }
   // The coordinator fails the job from the reports; nothing left to do.
   if (job_fatal) return 0;
 
   // ---- Group: insert forwarded runs in arrival order — the coordinator
-  // sends task-ascending per partition, mirroring the in-process drain. ----
-  struct StdHashAdapter {
-    size_t operator()(const KMid& k) const {
-      return static_cast<size_t>(ShuffleHash<KMid>()(k));
-    }
-  };
-  using GroupMap = std::unordered_map<KMid, std::vector<VMid>, StdHashAdapter>;
-  std::unordered_map<int64_t, GroupMap> partition_groups;
+  // sends task-ascending per partition. ----
+  std::vector<GroupMap<KMid, VMid>> groups(
+      static_cast<size_t>(num_partitions));
   std::string decoded;
   while (true) {
     if (!ch.ReadFrame(timeout, &frame).ok()) return kWorkerExitProtocolError;
     if (frame.type == FrameType::kStartReduce) break;
-    if (frame.type != FrameType::kReduceRun) return kWorkerExitProtocolError;
-    if (frame.payload.size() < kSpillBlockHeaderBytes) {
+    if (frame.type != FrameType::kReduceRun ||
+        frame.payload.size() < kSpillBlockHeaderBytes || frame.b < 0 ||
+        frame.b >= num_partitions || frame.b % W != worker) {
       return kWorkerExitProtocolError;
     }
     const std::string context = StrFormat(
@@ -382,124 +306,85 @@ int SubprocessWorkerMain(
              .ok()) {
       return kWorkerExitProtocolError;
     }
-    GroupMap& groups = partition_groups[frame.b];
+    GroupMap<KMid, VMid>& partition = groups[static_cast<size_t>(frame.b)];
     Record rec;
     for (uint64_t i = 0; i < header->record_count; ++i) {
       std::memcpy(static_cast<void*>(&rec),
                   decoded.data() + i * sizeof(Record), sizeof(Record));
-      groups[rec.first].push_back(rec.second);
+      partition[rec.first].push_back(rec.second);
     }
   }
 
   // ---- Reduce owned partitions ascending; stream outputs back. ----
   std::vector<WirePartitionReport> partition_reports;
   for (int p = worker; p < num_partitions; p += W) {
-    GroupMap& groups = partition_groups[p];
     OutputEmitter<KOut, VOut> out;
-    for (auto& [key, values] : groups) {
-      reducer(key, values, &out);
-    }
     WirePartitionReport pr;
     pr.partition = p;
-    pr.groups = static_cast<int64_t>(groups.size());
+    pr.groups = ReducePartition(&groups[static_cast<size_t>(p)], reducer, &out);
     partition_reports.push_back(pr);
-    WireFrame f;
-    f.type = FrameType::kOutputRun;
-    f.worker = worker;
-    f.job = env.job_id;
-    f.a = p;
-    f.b = static_cast<int64_t>(out.records().size());
+    WireFrame f = JobFrame(FrameType::kOutputRun, worker, job_id, p,
+                           static_cast<int64_t>(out.records().size()));
     SerializeOutputRecords<KOut, VOut>(out.records(), &f.payload);
     if (!ch.WriteFrame(f).ok()) return kWorkerExitProtocolError;
-    partition_groups.erase(p);
   }
-  WireFrame worker_done;
-  worker_done.type = FrameType::kWorkerDone;
-  worker_done.worker = worker;
-  worker_done.job = env.job_id;
-  if (!partition_reports.empty()) {
-    worker_done.payload.assign(
-        reinterpret_cast<const char*>(partition_reports.data()),
-        partition_reports.size() * sizeof(WirePartitionReport));
-  }
+  WireFrame worker_done = JobFrame(FrameType::kWorkerDone, worker, job_id);
+  worker_done.payload = RawPayload(partition_reports);
   if (!ch.WriteFrame(worker_done).ok()) return kWorkerExitProtocolError;
   return 0;
 }
 
-/// \brief Coordinator-side job execution (called by Engine::Run when
-/// ClusterConfig::backend == "subprocess").
+/// \brief The subprocess transport's coordinator side (called by
+/// Engine::Run when ClusterConfig::backend == "subprocess").
 ///
-/// Fills `stats` exactly as the in-process engine would (the caller records
-/// it); failure kinds are "aborted", "io_error", "oom" — plus
-/// "worker_lost" (kAborted) when a worker process dies or its channel
-/// breaks, which the PlanScheduler treats as transient and retries with a
-/// fresh job id.
+/// Fills `stats` (already named, numbered and shaped by the caller, who
+/// records it) through the job core; failure kinds are those of
+/// FoldTaskReports plus "worker_lost" (kAborted) when a worker process dies
+/// or its channel breaks, which the PlanScheduler treats as transient and
+/// retries with a fresh job id. `tracker` is the shuffle budget: workers
+/// run unmetered and the coordinator charges the job's raw pre-combine
+/// width once their reports are in.
 template <typename KMid, typename VMid, typename KOut, typename VOut,
           typename ReaderFn, typename ReduceFn>
 Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
-    const SubprocessJobEnv& env, ReaderFn& reader, ReduceFn& reducer,
+    const ClusterConfig& config, const JobShape& shape, WorkerPool* pool,
+    MemoryTracker* tracker, ReaderFn& reader, ReduceFn& reducer,
     const std::function<VMid(const VMid&, const VMid&)>& combiner,
     JobStats* stats) {
-  using Record = std::pair<KMid, VMid>;
   using Output = std::vector<std::pair<KOut, VOut>>;
-  constexpr uint64_t kRecordBytes = sizeof(Record);
-  const ClusterConfig& config = *env.config;
-  WorkerPool* pool = env.pool;
+  constexpr uint64_t kRecordBytes = sizeof(std::pair<KMid, VMid>);
   const double timeout = config.worker_io_timeout_seconds;
-
-  WallTimer phase_timer;
-  auto take_phase = [&phase_timer](double* sink) {
-    *sink = phase_timer.ElapsedSeconds();
-    phase_timer.Restart();
-  };
-
-  const int num_partitions = config.EffectiveReduceTasks();
-  int num_tasks = config.EffectiveMapTasks();
-  if (env.num_input_records < num_tasks) {
-    num_tasks =
-        static_cast<int>(std::max<int64_t>(1, env.num_input_records));
-  }
+  const std::string& name = stats->name;
+  const int64_t job_id = stats->job_id;
+  const int num_tasks = shape.num_tasks;
+  const int num_partitions = shape.num_partitions;
   const int W = pool->num_workers();
-
-  stats->map_task_records.assign(static_cast<size_t>(num_tasks), 0);
-  stats->map_task_attempts.assign(static_cast<size_t>(num_tasks), 1);
-  stats->map_task_spilled_bytes.assign(static_cast<size_t>(num_tasks), 0);
-  stats->reduce_partition_records.assign(static_cast<size_t>(num_partitions),
-                                         0);
-  stats->reduce_partition_bytes.assign(static_cast<size_t>(num_partitions),
-                                       0);
+  WallTimer phase_timer;
 
   uint64_t charged_bytes = 0;
-  auto release_all = [&] {
-    if (env.tracker != nullptr && charged_bytes > 0) {
-      env.tracker->Release(charged_bytes);
-    }
-    charged_bytes = 0;
+  // Every failure path reaps the gang (killing what still runs) and
+  // releases the budget.
+  auto fail = [&](Status status) -> Status {
+    pool->FinishGang(/*kill=*/true);
+    tracker->Release(charged_bytes);
+    return status;
   };
   auto worker_lost = [&](int w, const Status& cause) -> Status {
-    pool->FinishGang(/*kill=*/true);
-    release_all();
     stats->failure = "worker_lost";
-    return Status::Aborted(StrFormat("job '%s': worker %d lost: %s",
-                                     env.name.c_str(), w,
-                                     cause.ToString().c_str()));
-  };
-  auto fail_job = [&](const char* kind, Status status) -> Status {
-    pool->FinishGang(/*kill=*/true);
-    release_all();
-    stats->failure = kind;
-    return status;
+    return fail(Status::Aborted(StrFormat("job '%s': worker %d lost: %s",
+                                          name.c_str(), w,
+                                          cause.ToString().c_str())));
   };
 
   // The gang is forked per job: the children inherit this job's closures
   // (and the input they capture) through the fork image.
   Status spawned = pool->SpawnGang([&](int fd, int worker) {
     return SubprocessWorkerMain<KMid, VMid, KOut, VOut>(
-        fd, worker, env, reader, reducer, combiner);
+        fd, worker, config, shape, job_id, reader, reducer, combiner);
   });
   if (!spawned.ok()) {
     stats->failure = "worker_lost";
-    return Status::Aborted("job '" + env.name +
+    return Status::Aborted("job '" + name +
                            "': " + std::string(spawned.message()));
   }
 
@@ -513,18 +398,13 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
     asn.num_partitions = num_partitions;
     asn.die_after_tasks = pool->PlanKillInjection(
         config.inject_worker_kill_after_tasks, assigned);
-    WireFrame f;
-    f.type = FrameType::kAssignment;
-    f.worker = w;
-    f.job = env.job_id;
+    WireFrame f = JobFrame(FrameType::kAssignment, w, job_id);
     f.payload.assign(reinterpret_cast<const char*>(&asn), sizeof(asn));
     Status s = pool->channel(w)->WriteFrame(f);
     if (!s.ok()) return worker_lost(w, s);
   }
 
-  bool task_gave_up = false;
-  bool emitter_io = false;
-  bool drain_io = false;
+  std::vector<TaskReport> reports(static_cast<size_t>(num_tasks));
   // Shuffled runs keyed (task, partition): raw spill-codec blocks forwarded
   // to reduce owners without decoding (record counts come from the block
   // headers). The ordered map gives the forwarding loop task-ascending
@@ -540,30 +420,20 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
       return worker_lost(
           w, Status::IOError("protocol error: expected kMapDone"));
     }
-    const size_t count = f.payload.size() / sizeof(WireTaskReport);
-    if (f.payload.size() != count * sizeof(WireTaskReport) ||
+    const size_t count = f.payload.size() / sizeof(TaskReport);
+    if (f.payload.size() != count * sizeof(TaskReport) ||
         static_cast<int64_t>(count) != f.a) {
       return worker_lost(w, Status::IOError("malformed kMapDone payload"));
     }
     int64_t worker_tasks = 0;
     for (size_t i = 0; i < count; ++i) {
-      WireTaskReport rep;
+      TaskReport rep;
       std::memcpy(&rep, f.payload.data() + i * sizeof(rep), sizeof(rep));
       if (rep.task < 0 || rep.task >= num_tasks) {
         return worker_lost(w,
                            Status::IOError("task id out of range in report"));
       }
-      const size_t t = static_cast<size_t>(rep.task);
-      stats->map_task_records[t] = rep.processed;
-      stats->map_task_attempts[t] = rep.attempts;
-      stats->map_task_spilled_bytes[t] = rep.spilled_disk_bytes;
-      stats->spilled_records += rep.spilled_records;
-      stats->spilled_compressed_bytes += rep.spilled_disk_bytes;
-      stats->pre_combine_records += rep.pre_combine_records;
-      stats->map_output_records += rep.post_combine_records;
-      if (rep.flags & kTaskGaveUp) task_gave_up = true;
-      if (rep.flags & kTaskEmitterIO) emitter_io = true;
-      if (rep.flags & kTaskDrainIO) drain_io = true;
+      reports[static_cast<size_t>(rep.task)] = rep;
       if (!(rep.flags & kTaskGaveUp)) ++worker_tasks;
     }
     pool->NoteTasksCompleted(w, worker_tasks);
@@ -592,59 +462,29 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
       runs[{f.a, f.b}] = std::move(f.payload);
     }
   }
-  take_phase(&stats->phases.map_seconds);
+  // Combine time is folded into map_seconds: it runs inside the workers'
+  // map phase.
+  stats->phases.map_seconds = phase_timer.Lap();
 
-  // Derived map counters, same definitions as in-process. (Combine time is
-  // folded into map_seconds: it runs inside the workers' map phase.)
-  stats->map_output_bytes =
-      static_cast<uint64_t>(stats->map_output_records) * kRecordBytes;
-  stats->spilled_bytes =
-      static_cast<uint64_t>(stats->spilled_records) * kRecordBytes;
-  stats->spilled_raw_bytes = stats->spilled_bytes;
-  for (int attempts : stats->map_task_attempts) {
-    stats->map_task_retries += attempts - 1;
-  }
-
-  if (task_gave_up) {
-    return fail_job(
-        "aborted",
-        Status::Aborted("job '" + env.name +
-                        "': a map task exceeded max_task_attempts"));
-  }
-  if (emitter_io || drain_io) {
-    return fail_job(
-        "io_error",
-        Status::IOError("job '" + env.name + "': a worker spill " +
-                        (emitter_io ? std::string("write")
-                                    : std::string("read")) +
-                        " failed"));
-  }
+  Status folded =
+      FoldTaskReports(name, reports, kRecordBytes, Status::OK(), stats);
+  if (!folded.ok()) return fail(folded);
   // Shuffle budget: charge the same raw pre-combine width the in-process
   // emitters charge, in one step once the workers report their counts.
-  if (env.tracker != nullptr) {
-    const uint64_t bytes =
-        static_cast<uint64_t>(stats->pre_combine_records) * kRecordBytes;
-    Status s = env.tracker->Charge(bytes);
-    if (!s.ok()) {
-      return fail_job(
-          "oom", Status::ResourceExhausted(
-                     "o.o.m.: job '" + env.name +
-                     "' exceeded the cluster shuffle-memory budget"));
-    }
-    charged_bytes = bytes;
+  const uint64_t bytes =
+      static_cast<uint64_t>(stats->pre_combine_records) * kRecordBytes;
+  if (!tracker->Charge(bytes).ok()) {
+    return fail(
+        FailJobByFlags(name, kTaskBudgetExhausted, Status::OK(), stats));
   }
+  charged_bytes = bytes;
 
   // ---- Shuffle phase: forward each run to its partition's owner. ----
   for (auto& [key, block] : runs) {
     const int64_t t = key.first;
     const int64_t p = key.second;
     const int owner = static_cast<int>(p % W);
-    WireFrame f;
-    f.type = FrameType::kReduceRun;
-    f.worker = owner;
-    f.job = env.job_id;
-    f.a = t;
-    f.b = p;
+    WireFrame f = JobFrame(FrameType::kReduceRun, owner, job_id, t, p);
     f.payload = std::move(block);
     Status s = pool->channel(owner)->WriteFrame(f);
     if (!s.ok()) return worker_lost(owner, s);
@@ -655,14 +495,11 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
   }
   runs.clear();
   for (int w = 0; w < W; ++w) {
-    WireFrame f;
-    f.type = FrameType::kStartReduce;
-    f.worker = w;
-    f.job = env.job_id;
-    Status s = pool->channel(w)->WriteFrame(f);
+    Status s = pool->channel(w)->WriteFrame(
+        JobFrame(FrameType::kStartReduce, w, job_id));
     if (!s.ok()) return worker_lost(w, s);
   }
-  take_phase(&stats->phases.shuffle_seconds);
+  stats->phases.shuffle_seconds = phase_timer.Lap();
 
   // ---- Reduce phase: collect per-partition outputs. ----
   std::vector<std::string> partition_payloads(
@@ -714,15 +551,14 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
         partition_counts[static_cast<size_t>(p)],
         StrFormat("output partition %d", p), &output);
     if (!s.ok()) {
-      release_all();
       stats->failure = "io_error";
-      return Status::IOError("job '" + env.name +
-                             "': " + std::string(s.message()));
+      return fail(Status::IOError("job '" + name +
+                                  "': " + std::string(s.message())));
     }
   }
   stats->reduce_output_records = static_cast<int64_t>(output.size());
-  take_phase(&stats->phases.reduce_seconds);
-  release_all();
+  stats->phases.reduce_seconds = phase_timer.Lap();
+  tracker->Release(charged_bytes);
   return output;
 }
 

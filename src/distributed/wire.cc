@@ -100,7 +100,9 @@ Status WireChannel::WriteFrame(const WireFrame& frame) {
   std::string bytes;
   bytes.reserve(kWireHeaderBytes + frame.payload.size());
   EncodeFrameBytes(frame, &bytes);
-  return WriteExact(bytes.data(), bytes.size());
+  Status s = WriteExact(bytes.data(), bytes.size());
+  if (!s.ok()) failed_ = true;
+  return s;
 }
 
 Status WireChannel::ReadExact(char* buf, size_t n, double timeout_seconds,
@@ -153,6 +155,12 @@ Status WireChannel::ReadExact(char* buf, size_t n, double timeout_seconds,
 }
 
 Status WireChannel::ReadFrame(double timeout_seconds, WireFrame* out) {
+  Status s = ReadFrameOnce(timeout_seconds, out);
+  if (!s.ok()) failed_ = true;
+  return s;
+}
+
+Status WireChannel::ReadFrameOnce(double timeout_seconds, WireFrame* out) {
   if (fd_ < 0) {
     return Status::IOError("wire: channel to " + peer_ + " is closed");
   }

@@ -42,7 +42,8 @@ uint32_t Crc32(const void* data, size_t size);
 enum class FrameType : uint16_t {
   /// coordinator -> worker: job parameters (WireAssignment payload).
   kAssignment = 1,
-  /// worker -> coordinator: per-map-task reports (WireTaskReport array).
+  /// worker -> coordinator: per-map-task reports (TaskReport array,
+  /// mapreduce/job_core.h).
   kMapDone = 2,
   /// worker -> coordinator: one shuffled run, a = task, b = partition,
   /// payload = spill-codec block.
@@ -82,24 +83,6 @@ struct WireAssignment {
   int64_t die_after_tasks = 0;
 };
 
-/// Per-map-task flags in WireTaskReport.
-inline constexpr uint32_t kTaskGaveUp = 1u << 0;     ///< exhausted attempts
-inline constexpr uint32_t kTaskEmitterIO = 1u << 1;  ///< spill write failed
-inline constexpr uint32_t kTaskDrainIO = 1u << 2;    ///< spill read failed
-
-/// One map task's post-mortem, sent in kMapDone (fixed-size, packed as raw
-/// structs — coordinator and workers are fork images of one binary).
-struct WireTaskReport {
-  int64_t task = 0;
-  int64_t processed = 0;
-  int64_t pre_combine_records = 0;
-  int64_t post_combine_records = 0;
-  int64_t spilled_records = 0;
-  uint64_t spilled_disk_bytes = 0;
-  int32_t attempts = 1;
-  uint32_t flags = 0;
-};
-
 /// One owned reduce partition's post-mortem, sent in kWorkerDone.
 struct WirePartitionReport {
   int64_t partition = 0;
@@ -136,6 +119,10 @@ class WireChannel {
   /// and byte offset; a timeout does too, instead of hanging.
   Status ReadFrame(double timeout_seconds, WireFrame* out);
 
+  /// True once any ReadFrame/WriteFrame on this channel has failed: the
+  /// peer is gone, hung, or speaking garbage.
+  bool failed() const { return failed_; }
+
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t bytes_received() const { return bytes_received_; }
   const std::string& peer() const { return peer_; }
@@ -144,6 +131,7 @@ class WireChannel {
   void Close();
 
  private:
+  Status ReadFrameOnce(double timeout_seconds, WireFrame* out);
   Status ReadExact(char* buf, size_t n, double timeout_seconds,
                    uint64_t frame_offset);
   Status WriteExact(const char* buf, size_t n);
@@ -152,6 +140,7 @@ class WireChannel {
   std::string peer_;
   uint64_t bytes_sent_ = 0;
   uint64_t bytes_received_ = 0;
+  bool failed_ = false;
 };
 
 /// Creates a connected Unix-domain socket pair (SOCK_STREAM).

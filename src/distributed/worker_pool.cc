@@ -124,7 +124,12 @@ void WorkerPool::FinishGang(bool kill) {
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t w = 0; w < slots_.size(); ++w) {
     Slot& slot = slots_[w];
+    // A slot whose channel failed is lost, whatever its wait status says:
+    // a worker that closes its socket and dies a moment later may still be
+    // running when the reap below SIGKILLs it.
+    bool lost = false;
     if (slot.channel != nullptr) {
+      lost = slot.channel->failed();
       slot.stats.wire_bytes_sent += slot.channel->bytes_sent();
       slot.stats.wire_bytes_received += slot.channel->bytes_received();
       // Closing the coordinator end unblocks a worker stuck reading, so a
@@ -133,21 +138,21 @@ void WorkerPool::FinishGang(bool kill) {
     }
     if (slot.pid <= 0) continue;
     int status = 0;
-    pid_t reaped = ::waitpid(slot.pid, &status, WNOHANG);
-    if (reaped == slot.pid) {
-      // Died on its own before we got here: abnormal unless a clean exit 0.
-      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-        slot.needs_restart = true;
+    bool killed_here = false;
+    if (::waitpid(slot.pid, &status, WNOHANG) != slot.pid) {
+      if (kill) {
+        ::kill(slot.pid, SIGKILL);
+        killed_here = true;
       }
-    } else {
-      if (kill) ::kill(slot.pid, SIGKILL);
       ::waitpid(slot.pid, &status, 0);
-      // A deliberate SIGKILL from the coordinator is not a worker failure;
-      // without `kill`, any unclean exit is.
-      if (!kill && (!WIFEXITED(status) || WEXITSTATUS(status) != 0)) {
-        slot.needs_restart = true;
-      }
     }
+    // Every other slot is classified by how it actually ended: a clean
+    // exit 0, or the SIGKILL sent just above (deliberate termination, not
+    // a worker failure), is not abnormal; anything else is.
+    const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+    const bool deliberate =
+        killed_here && WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
+    if (lost || (!clean && !deliberate)) slot.needs_restart = true;
     slot.pid = -1;
   }
   gang_active_ = false;

@@ -73,9 +73,11 @@ class WorkerPool {
 
   /// Reaps the active gang and folds its channel byte counts into the slot
   /// stats. With `kill` true, workers still running are SIGKILLed first
-  /// (deliberate termination — not counted as an abnormal death); workers
-  /// found already dead with a signal or nonzero exit status are marked
-  /// abnormal either way, so their next spawn counts as a restart.
+  /// (deliberate termination — not counted as an abnormal death). A slot
+  /// whose channel failed (the worker_lost path) is marked lost outright;
+  /// every other slot is classified by its actual wait status, so a signal
+  /// or nonzero exit that is not this SIGKILL marks it abnormal. Either way
+  /// its next spawn counts as a restart.
   void FinishGang(bool kill);
 
   /// Credits `tasks` completed map tasks to slot `w`.

@@ -103,9 +103,9 @@ struct ClusterConfig {
   /// writes raw records — byte-for-byte the historical format, kept as the
   /// deterministic test double; `kDeltaVarint` block-compresses each run
   /// (delta+varint on a sorted key prefix, values raw). Budget charges and
-  /// the `spilled_bytes`/`spilled_raw_bytes` counters always use the raw
-  /// record width; `spilled_compressed_bytes` and the CostModel's disk term
-  /// use what actually reached disk.
+  /// the `spilled_raw_bytes` counter always use the raw record width;
+  /// `spilled_compressed_bytes` and the CostModel's disk term use what
+  /// actually reached disk.
   SpillCompression spill_compression = SpillCompression::kNone;
 
   /// Failure injection for the spill *write* path: when > 0, the spill

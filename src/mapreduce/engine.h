@@ -7,16 +7,14 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "distributed/subprocess_job.h"
 #include "distributed/worker_pool.h"
 #include "mapreduce/cluster.h"
-#include "mapreduce/hash.h"
+#include "mapreduce/job_core.h"
 #include "mapreduce/shuffle.h"
-#include "mapreduce/spill_codec.h"
 #include "mapreduce/stats.h"
 #include "util/memory_tracker.h"
 #include "util/result.h"
@@ -45,15 +43,21 @@ namespace haten2 {
 /// budget fails the job with kResourceExhausted ("o.o.m."), reproducing the
 /// intermediate-data-explosion failures of Figures 1 and 7.
 ///
-/// Two execution backends share this interface (ClusterConfig::backend):
+/// The job's semantics — shape, map-task retry loop, combine, JobStats fold
+/// and failure kind, run drain, grouping and reduce — live once in
+/// mapreduce/job_core.h. Run() does the shared prologue and epilogue (job
+/// id, plan tag, wall time, RecordJob) and hands the job to one of two
+/// transports (ClusterConfig::backend):
 ///   - "inprocess"  — map tasks and reduce partitions run on the engine's
-///     thread pool in this process (the default, implemented below);
+///     thread pool in this process (the default, RunInProcess below);
 ///   - "subprocess" — ClusterConfig::EffectiveNumWorkers() forked worker
 ///     processes shard tasks and partitions over Unix-domain sockets
 ///     (distributed/subprocess_job.h). A worker death surfaces as failure
 ///     kind "worker_lost" with kAborted, which the PlanScheduler's node
-///     retry re-runs — and both backends produce bit-identical output for
-///     the same configuration and seeds (docs/ARCHITECTURE.md, Backends).
+///     retry re-runs.
+/// Both transports run the same core, so they produce bit-identical output
+/// and counters for the same configuration and seeds (docs/ARCHITECTURE.md,
+/// "One job core, two transports").
 class Engine {
  public:
   explicit Engine(const ClusterConfig& config)
@@ -172,8 +176,9 @@ class Engine {
 
   /// Runs one MapReduce job.
   ///
-  /// \tparam KMid/VMid intermediate key/value (trivially copyable);
-  ///         KOut/VOut output key/value.
+  /// \tparam KMid/VMid intermediate key/value (fixed-size; the key without
+  ///         padding bytes — see mapreduce/job_core.h); KOut/VOut output
+  ///         key/value.
   /// \param name      job name for the stats log.
   /// \param num_input_records  reader is called for indices [0, n).
   /// \param reader    void(int64_t index, ShuffleEmitter<KMid, VMid>*).
@@ -187,271 +192,56 @@ class Engine {
       const std::string& name, int64_t num_input_records, ReaderFn&& reader,
       ReduceFn&& reducer,
       std::function<VMid(const VMid&, const VMid&)> combiner = nullptr) {
-    // Byte accounting (and hence the o.o.m. semantics) relies on fixed-size
-    // intermediate records, mirroring Hadoop's serialized Writables.
-    static_assert(IsFixedSizeRecord<KMid>::value,
-                  "intermediate keys must be fixed-size records");
-    static_assert(IsFixedSizeRecord<VMid>::value,
-                  "intermediate values must be fixed-size records");
-    constexpr uint64_t kRecordBytes = ShuffleEmitter<KMid, VMid>::kRecordBytes;
+    using Output = std::vector<std::pair<KOut, VOut>>;
     // Fail fast on an invalid cluster configuration (the constructor cannot
     // return a Status): a zero bandwidth or negative slot count would
     // otherwise surface only as Inf/NaN simulated seconds in stats JSON.
     if (!init_status_.ok()) return init_status_;
-    if (config_.backend == "subprocess") {
-      return RunSubprocess<KMid, VMid, KOut, VOut>(name, num_input_records,
-                                                   reader, reducer, combiner);
+    const bool subprocess = config_.backend == "subprocess";
+    constexpr bool kWireOutput =
+        distributed::kWireSerializableOutput<KOut, VOut>;
+    if (subprocess && !kWireOutput) {
+      return Status::Unimplemented(
+          "subprocess backend: job '" + name +
+          "' has an output type the wire codec cannot carry (need a "
+          "fixed-size key and a fixed-size or vector-of-fixed-size value); "
+          "use backend=inprocess for this job");
     }
+    // Subprocess jobs are serialized on the engine's single worker pool;
+    // concurrent plan nodes queue here instead of spawning rival gangs.
+    std::unique_lock<std::mutex> gang_lock(subprocess_mu_, std::defer_lock);
+    if (subprocess) gang_lock.lock();
+
     WallTimer timer;
-    WallTimer phase_timer;
-    // Attributes the time since the previous phase boundary to one phase;
-    // the segments are contiguous, so they sum to ≈ wall_seconds.
-    auto take_phase = [&phase_timer](double* sink) {
-      *sink = phase_timer.ElapsedSeconds();
-      phase_timer.Restart();
-    };
     JobStats stats;
     stats.name = name;
-    stats.map_input_records = num_input_records;
-
-    const int num_partitions = config_.EffectiveReduceTasks();
-    int num_tasks = config_.EffectiveMapTasks();
-    if (num_input_records < num_tasks) {
-      num_tasks = static_cast<int>(std::max<int64_t>(1, num_input_records));
-    }
-
-    // ---- Map phase ----
     // One sequence number per job, taken exactly once: it keys both the
-    // spill-file prefix and the failure-injection decisions. (Taking it in
-    // two steps — a load() for the prefix and a later fetch_add() — let two
-    // concurrent Run() calls build identical spill prefixes and corrupt each
-    // other's spill files.)
-    const int64_t job_seq =
-        job_sequence_.fetch_add(1, std::memory_order_relaxed);
-    stats.job_id = job_seq;
+    // spill-file prefix and the failure-injection decisions.
+    stats.job_id = job_sequence_.fetch_add(1, std::memory_order_relaxed);
     stats.plan_id = current_plan_id_;
-    if (job_id_sink_ != nullptr) job_id_sink_->push_back(job_seq);
-    std::vector<ShuffleEmitter<KMid, VMid>> emitters;
-    emitters.reserve(static_cast<size_t>(num_tasks));
-    for (int t = 0; t < num_tasks; ++t) {
-      std::string spill_prefix;
-      if (!config_.spill_directory.empty()) {
-        spill_prefix = config_.spill_directory + "/haten2_" +
-                       std::to_string(reinterpret_cast<uintptr_t>(this)) +
-                       "_j" + std::to_string(job_seq) + "_t" +
-                       std::to_string(t);
-      }
-      emitters.emplace_back(num_partitions, &tracker_,
-                            std::move(spill_prefix),
-                            config_.spill_threshold_records,
-                            config_.spill_compression,
-                            config_.inject_spill_failure_after_bytes);
-    }
-    stats.map_task_records.assign(static_cast<size_t>(num_tasks), 0);
-    stats.map_task_attempts.assign(static_cast<size_t>(num_tasks), 1);
+    if (job_id_sink_ != nullptr) job_id_sink_->push_back(stats.job_id);
+    const JobShape shape =
+        JobShape::For(config_, num_input_records, this, stats.job_id);
+    ShapeJobStats(shape, &stats);
 
-    std::atomic<bool> task_gave_up{false};
-    const int64_t chunk =
-        (num_input_records + num_tasks - 1) / std::max(num_tasks, 1);
-    pool_.ParallelFor(static_cast<size_t>(num_tasks), [&](size_t t) {
-      // Failure injection: a crashed attempt loses its (would-be) output
-      // and the task is re-executed, like a Hadoop task retry. Attempts are
-      // decided deterministically so runs are reproducible.
-      int attempt = 1;
-      while (attempt <= config_.max_task_attempts &&
-             ShouldFailAttempt(job_seq, t, attempt)) {
-        ++attempt;
-      }
-      stats.map_task_attempts[t] =
-          std::min(attempt, config_.max_task_attempts);
-      if (attempt > config_.max_task_attempts) {
-        task_gave_up.store(true, std::memory_order_relaxed);
-        return;
-      }
-      int64_t begin = static_cast<int64_t>(t) * chunk;
-      int64_t end = std::min(begin + chunk, num_input_records);
-      int64_t processed = 0;
-      for (int64_t i = begin; i < end; ++i) {
-        reader(i, &emitters[t]);
-        ++processed;
-        if (emitters[t].failed()) break;
-      }
-      emitters[t].Flush();
-      // Count records actually handed to the reader: a task killed
-      // mid-chunk by the budget must not claim its whole chunk.
-      stats.map_task_records[t] = processed;
-    });
-    for (int attempts : stats.map_task_attempts) {
-      stats.map_task_retries += attempts - 1;
-    }
-    take_phase(&stats.phases.map_seconds);
-
-    // Total bytes charged so far; released when the job finishes.
-    auto release_all = [this, &emitters] {
-      for (auto& em : emitters) tracker_.Release(em.charged_bytes());
-    };
-
-    // Shuffle + spill accounting is captured on *every* exit path, before
-    // any spill cleanup: post-mortem stats must describe failed runs (the
-    // paper's o.o.m. deaths) as faithfully as successful ones. The
-    // per-partition vectors are sized here so a failed job reports its
-    // partition count (zero-filled) instead of nothing.
-    stats.reduce_partition_records.assign(static_cast<size_t>(num_partitions),
-                                          0);
-    stats.reduce_partition_bytes.assign(static_cast<size_t>(num_partitions),
-                                        0);
-    bool exploded = false;
-    Status explode_cause = Status::OK();
-    int64_t shuffled_records = 0;
-    stats.map_task_spilled_bytes.assign(static_cast<size_t>(num_tasks), 0);
-    for (size_t t = 0; t < emitters.size(); ++t) {
-      auto& em = emitters[t];
-      if (em.failed()) {
-        exploded = true;
-        if (em.failure_status().IsIOError()) {
-          explode_cause = em.failure_status();
+    Result<Output> result = [&]() -> Result<Output> {
+      if constexpr (kWireOutput) {
+        if (subprocess) {
+          if (worker_pool_ == nullptr) {
+            worker_pool_ = std::make_unique<distributed::WorkerPool>(
+                config_.EffectiveNumWorkers());
+          }
+          return distributed::RunSubprocessJob<KMid, VMid, KOut, VOut>(
+              config_, shape, worker_pool_.get(), &tracker_, reader, reducer,
+              combiner, &stats);
         }
       }
-      shuffled_records += em.TotalRecords();
-      stats.spilled_records += em.TotalSpilledRecords();
-      stats.map_task_spilled_bytes[t] = em.TotalSpilledDiskBytes();
-      stats.spilled_compressed_bytes += em.TotalSpilledDiskBytes();
-    }
-    stats.pre_combine_records = shuffled_records;
-    stats.map_output_records = shuffled_records;
-    stats.map_output_bytes =
-        static_cast<uint64_t>(shuffled_records) * kRecordBytes;
-    // Raw width — what the records occupy once re-expanded, and the byte
-    // definition every pre-codec stats consumer relied on;
-    // spilled_compressed_bytes above is what actually reached disk.
-    stats.spilled_bytes =
-        static_cast<uint64_t>(stats.spilled_records) * kRecordBytes;
-    stats.spilled_raw_bytes = stats.spilled_bytes;
-
-    // Fails the job: removes spill files (the stats above already captured
-    // them), records the job post-mortem, and releases the budget.
-    auto fail_job = [&](const char* kind, Status status) -> Status {
-      for (auto& em : emitters) em.RemoveAllSpills();
-      stats.failure = kind;
-      stats.wall_seconds = timer.ElapsedSeconds();
-      RecordJob(stats);
-      release_all();
-      return status;
-    };
-
-    if (task_gave_up.load(std::memory_order_relaxed)) {
-      return fail_job(
-          "aborted",
-          Status::Aborted("job '" + name +
-                          "': a map task exceeded max_task_attempts"));
-    }
-    if (exploded) {
-      if (explode_cause.ok()) {
-        explode_cause = Status::ResourceExhausted(
-            "o.o.m.: job '" + name +
-            "' exceeded the cluster shuffle-memory budget");
-        return fail_job("oom", explode_cause);
-      }
-      return fail_job("io_error", explode_cause);
-    }
-
-    // ---- Combine phase (per map task, per partition) ----
-    if (combiner) {
-      pool_.ParallelFor(static_cast<size_t>(num_tasks), [&](size_t t) {
-        for (auto& buf : emitters[t].buffers()) {
-          CombineShuffleBuffer<KMid, VMid>(&buf, combiner);
-        }
-      });
-      // The combiner changed what actually gets shuffled.
-      shuffled_records = 0;
-      for (auto& em : emitters) shuffled_records += em.TotalRecords();
-      stats.map_output_records = shuffled_records;
-      stats.map_output_bytes =
-          static_cast<uint64_t>(shuffled_records) * kRecordBytes;
-      take_phase(&stats.phases.combine_seconds);
-    }
-
-    // ---- Shuffle/group phase (parallel over partitions) ----
-    struct StdHashAdapter {
-      size_t operator()(const KMid& k) const {
-        return static_cast<size_t>(ShuffleHash<KMid>()(k));
-      }
-    };
-    using GroupMap =
-        std::unordered_map<KMid, std::vector<VMid>, StdHashAdapter>;
-    std::vector<GroupMap> partition_groups(
-        static_cast<size_t>(num_partitions));
-
-    std::atomic<bool> spill_read_failed{false};
-    std::mutex spill_error_mu;
-    Status spill_read_status = Status::OK();
-    pool_.ParallelFor(static_cast<size_t>(num_partitions), [&](size_t p) {
-      GroupMap& groups = partition_groups[p];
-      int64_t received = 0;
-      for (auto& em : emitters) {
-        Status drained = em.DrainSpill(
-            p, [&groups, &received](const std::pair<KMid, VMid>& rec) {
-              groups[rec.first].push_back(rec.second);
-              ++received;
-            });
-        if (!drained.ok()) {
-          spill_read_failed.store(true, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> lock(spill_error_mu);
-          if (spill_read_status.ok()) spill_read_status = drained;
-        }
-        for (auto& rec : em.buffers()[p]) {
-          groups[rec.first].push_back(std::move(rec.second));
-          ++received;
-        }
-        em.buffers()[p].clear();
-        em.buffers()[p].shrink_to_fit();
-      }
-      stats.reduce_partition_records[p] = received;
-      stats.reduce_partition_bytes[p] =
-          static_cast<uint64_t>(received) * kRecordBytes;
-    });
-    take_phase(&stats.phases.shuffle_seconds);
-
-    if (spill_read_failed.load(std::memory_order_relaxed)) {
-      return fail_job(
-          "io_error",
-          Status::IOError("job '" + name + "': " +
-                          spill_read_status.message()));
-    }
-
-    // ---- Reduce phase (parallel over partitions) ----
-    using PartitionOutput = std::vector<std::pair<KOut, VOut>>;
-    std::vector<PartitionOutput> partition_outputs(
-        static_cast<size_t>(num_partitions));
-    std::vector<int64_t> partition_group_counts(
-        static_cast<size_t>(num_partitions), 0);
-    pool_.ParallelFor(static_cast<size_t>(num_partitions), [&](size_t p) {
-      OutputEmitter<KOut, VOut> out;
-      for (auto& [key, values] : partition_groups[p]) {
-        reducer(key, values, &out);
-      }
-      partition_group_counts[p] =
-          static_cast<int64_t>(partition_groups[p].size());
-      partition_outputs[p] = std::move(out.records());
-      partition_groups[p] = GroupMap();  // free as we go
-    });
-
-    std::vector<std::pair<KOut, VOut>> output;
-    {
-      size_t total = 0;
-      for (const auto& po : partition_outputs) total += po.size();
-      output.reserve(total);
-    }
-    for (auto& po : partition_outputs) {
-      for (auto& rec : po) output.push_back(std::move(rec));
-    }
-    for (int64_t g : partition_group_counts) stats.reduce_input_groups += g;
-    stats.reduce_output_records = static_cast<int64_t>(output.size());
-    take_phase(&stats.phases.reduce_seconds);
+      return RunInProcess<KMid, VMid, KOut, VOut>(shape, reader, reducer,
+                                                  combiner, &stats);
+    }();
     stats.wall_seconds = timer.ElapsedSeconds();
     RecordJob(stats);
-    release_all();
-    return output;
+    return result;
   }
 
   /// Convenience wrapper: runs a job whose input is an in-memory vector of
@@ -481,74 +271,114 @@ class Engine {
   }
 
  private:
-  /// Runs one job on the subprocess backend (config_.backend ==
-  /// "subprocess"): forks a worker gang and shards the job over it
-  /// (distributed/subprocess_job.h). Jobs are serialized on the engine's
-  /// single worker pool; concurrent plan nodes queue here instead of
-  /// spawning rival gangs. Output types outside the wire codec's reach run
-  /// in-process only and get kUnimplemented — the four ALS drivers' job
-  /// types are all covered.
+  /// The in-process transport: map tasks and then reduce partitions run on
+  /// the engine's thread pool, and partitions group straight from the map
+  /// tasks' emitters. Shuffled bytes are charged against the engine's
+  /// budget as they are emitted and released when the job ends.
   template <typename KMid, typename VMid, typename KOut, typename VOut,
             typename ReaderFn, typename ReduceFn>
-  Result<std::vector<std::pair<KOut, VOut>>> RunSubprocess(
-      const std::string& name, int64_t num_input_records, ReaderFn& reader,
-      ReduceFn& reducer,
-      const std::function<VMid(const VMid&, const VMid&)>& combiner) {
-    if constexpr (!distributed::kWireSerializableOutput<KOut, VOut>) {
-      return Status::Unimplemented(
-          "subprocess backend: job '" + name +
-          "' has an output type the wire codec cannot carry (need a "
-          "fixed-size key and a fixed-size or vector-of-fixed-size value); "
-          "use backend=inprocess for this job");
-    } else {
-      std::lock_guard<std::mutex> job_lock(subprocess_mu_);
-      WallTimer timer;
-      JobStats stats;
-      stats.name = name;
-      stats.map_input_records = num_input_records;
-      const int64_t job_seq =
-          job_sequence_.fetch_add(1, std::memory_order_relaxed);
-      stats.job_id = job_seq;
-      stats.plan_id = current_plan_id_;
-      if (job_id_sink_ != nullptr) job_id_sink_->push_back(job_seq);
+  Result<std::vector<std::pair<KOut, VOut>>> RunInProcess(
+      const JobShape& shape, ReaderFn& reader, ReduceFn& reducer,
+      const std::function<VMid(const VMid&, const VMid&)>& combiner,
+      JobStats* stats) {
+    using Record = std::pair<KMid, VMid>;
+    constexpr uint64_t kRecordBytes = sizeof(Record);
+    const size_t num_tasks = static_cast<size_t>(shape.num_tasks);
+    const size_t num_partitions = static_cast<size_t>(shape.num_partitions);
+    // Contiguous phase segments: they sum to ≈ wall_seconds.
+    WallTimer phase_timer;
 
-      if (worker_pool_ == nullptr) {
-        worker_pool_ = std::make_unique<distributed::WorkerPool>(
-            config_.EffectiveNumWorkers());
-      }
-      distributed::SubprocessJobEnv env;
-      env.config = &config_;
-      env.pool = worker_pool_.get();
-      env.tracker = &tracker_;
-      if (!config_.spill_directory.empty()) {
-        env.spill_prefix_base =
-            config_.spill_directory + "/haten2_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + "_j" +
-            std::to_string(job_seq);
-      }
-      env.name = name;
-      env.job_id = job_seq;
-      env.num_input_records = num_input_records;
-
-      Result<std::vector<std::pair<KOut, VOut>>> result =
-          distributed::RunSubprocessJob<KMid, VMid, KOut, VOut>(
-              env, reader, reducer, combiner, &stats);
-      stats.wall_seconds = timer.ElapsedSeconds();
-      RecordJob(stats);
-      return result;
+    // ---- Map (then combine) phase ----
+    std::vector<ShuffleEmitter<KMid, VMid>> emitters;
+    emitters.reserve(num_tasks);
+    for (int t = 0; t < shape.num_tasks; ++t) {
+      emitters.push_back(
+          MakeTaskEmitter<KMid, VMid>(config_, shape, t, &tracker_));
     }
+    std::vector<TaskReport> reports(num_tasks);
+    pool_.ParallelFor(num_tasks, [&](size_t t) {
+      reports[t] = RunMapTask(config_, shape, stats->job_id,
+                              static_cast<int>(t), reader, &emitters[t]);
+    });
+    stats->phases.map_seconds = phase_timer.Lap();
+    if (combiner && !AnyTaskFailed(reports)) {
+      pool_.ParallelFor(num_tasks, [&](size_t t) {
+        CombineTask(combiner, &emitters[t], &reports[t]);
+      });
+      stats->phases.combine_seconds = phase_timer.Lap();
+    }
+
+    // Removes spill files (the stats already captured them) and releases
+    // the budget on every exit path.
+    auto finish = [&](Status status) -> Status {
+      for (auto& em : emitters) {
+        em.RemoveAllSpills();
+        tracker_.Release(em.charged_bytes());
+      }
+      return status;
+    };
+    Status io_detail = Status::OK();
+    for (const auto& em : emitters) {
+      if (em.failed() && em.failure_status().IsIOError()) {
+        io_detail = em.failure_status();
+        break;
+      }
+    }
+    Status folded = FoldTaskReports(stats->name, reports, kRecordBytes,
+                                    io_detail, stats);
+    if (!folded.ok()) return finish(folded);
+
+    // ---- Shuffle/group phase (parallel over partitions) ----
+    std::vector<GroupMap<KMid, VMid>> groups(num_partitions);
+    std::mutex drain_mu;
+    Status drain_status = Status::OK();
+    pool_.ParallelFor(num_partitions, [&](size_t p) {
+      GroupMap<KMid, VMid>& partition = groups[p];
+      int64_t received = 0;
+      for (auto& em : emitters) {
+        Status drained =
+            DrainRun(&em, p, [&partition, &received](const Record& rec) {
+              partition[rec.first].push_back(rec.second);
+              ++received;
+            });
+        if (!drained.ok()) {
+          std::lock_guard<std::mutex> lock(drain_mu);
+          if (drain_status.ok()) drain_status = drained;
+        }
+      }
+      stats->reduce_partition_records[p] = received;
+      stats->reduce_partition_bytes[p] =
+          static_cast<uint64_t>(received) * kRecordBytes;
+    });
+    stats->phases.shuffle_seconds = phase_timer.Lap();
+    if (!drain_status.ok()) {
+      return finish(FailJobByFlags(stats->name, kTaskSpillReadIO,
+                                   drain_status, stats));
+    }
+
+    // ---- Reduce phase (parallel over partitions) ----
+    std::vector<OutputEmitter<KOut, VOut>> outputs(num_partitions);
+    std::vector<int64_t> group_counts(num_partitions, 0);
+    pool_.ParallelFor(num_partitions, [&](size_t p) {
+      group_counts[p] = ReducePartition(&groups[p], reducer, &outputs[p]);
+    });
+    std::vector<std::pair<KOut, VOut>> output;
+    size_t total = 0;
+    for (auto& out : outputs) total += out.records().size();
+    output.reserve(total);
+    for (auto& out : outputs) {
+      for (auto& rec : out.records()) output.push_back(std::move(rec));
+    }
+    for (int64_t g : group_counts) stats->reduce_input_groups += g;
+    stats->reduce_output_records = static_cast<int64_t>(output.size());
+    stats->phases.reduce_seconds = phase_timer.Lap();
+    finish(Status::OK());
+    return output;
   }
 
   void RecordJob(const JobStats& stats) {
     std::lock_guard<std::mutex> lock(mu_);
     pipeline_.jobs.push_back(stats);
-  }
-
-  /// Deterministic per-(job, task, attempt) failure decision, shared with
-  /// the subprocess workers (mapreduce/shuffle.h) so both backends replay
-  /// identical retry sequences for the same job id.
-  bool ShouldFailAttempt(int64_t job, size_t task, int attempt) const {
-    return ShouldFailMapAttempt(config_, job, task, attempt);
   }
 
   ClusterConfig config_;

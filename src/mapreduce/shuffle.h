@@ -1,12 +1,10 @@
 #ifndef HATEN2_MAPREDUCE_SHUFFLE_H_
 #define HATEN2_MAPREDUCE_SHUFFLE_H_
 
-// The engine's shuffle-side building blocks, shared by both execution
-// backends: the in-process Engine (mapreduce/engine.h) and the subprocess
-// workers (distributed/subprocess_job.h) instantiate the same emitters and
-// the same combine fold, which is what makes the two backends bit-identical
-// — a worker process shuffles, spills, combines, and groups with exactly
-// the code the in-process engine uses.
+// The engine's shuffle-side building blocks: the map-side emitter with its
+// spill files, the reducer's output emitter, the combine fold, and the
+// deterministic task-failure draw. The job core (mapreduce/job_core.h)
+// assembles them into a job once for both engine transports.
 
 #include <atomic>
 #include <cstdint>
@@ -353,12 +351,7 @@ template <typename K, typename V>
 void CombineShuffleBuffer(std::vector<std::pair<K, V>>* buf,
                           const std::function<V(const V&, const V&)>& fold) {
   if (buf->size() <= 1) return;
-  struct StdHashAdapter {
-    size_t operator()(const K& k) const {
-      return static_cast<size_t>(ShuffleHash<K>()(k));
-    }
-  };
-  std::unordered_map<K, V, StdHashAdapter> merged;
+  std::unordered_map<K, V, ShuffleHasher<K>> merged;
   merged.reserve(buf->size());
   for (auto& rec : *buf) {
     auto [it, inserted] = merged.try_emplace(rec.first, rec.second);
@@ -369,9 +362,9 @@ void CombineShuffleBuffer(std::vector<std::pair<K, V>>* buf,
   for (auto& [k, v] : merged) buf->emplace_back(k, std::move(v));
 }
 
-/// Deterministic per-(job, task, attempt) map-task failure decision, shared
-/// by the in-process engine and the subprocess workers (a worker replays the
-/// same draws for the same job id, so retry counts match across backends).
+/// Deterministic per-(job, task, attempt) map-task failure decision: the
+/// draws depend only on the job id, so a map task replays the same retry
+/// sequence wherever it runs (mapreduce/job_core.h RunMapTask).
 inline bool ShouldFailMapAttempt(const ClusterConfig& config, int64_t job,
                                  size_t task, int attempt) {
   if (config.task_failure_probability <= 0.0) return false;

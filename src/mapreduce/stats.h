@@ -81,11 +81,8 @@ struct JobStats {
   int64_t map_task_retries = 0;
   /// Records written to (and re-read from) spill files during the shuffle.
   int64_t spilled_records = 0;
-  /// Raw serialized width of those records (spilled_records * record
-  /// width) — retained under its historical name for pre-v4 consumers;
-  /// always equals spilled_raw_bytes.
-  uint64_t spilled_bytes = 0;
-  /// Raw (pre-codec) bytes of the spilled records.
+  /// Raw (pre-codec) bytes of the spilled records: spilled_records times
+  /// the record width (the stats JSON writes it as spill "bytes" too).
   uint64_t spilled_raw_bytes = 0;
   /// Bytes the spill runs actually occupied on disk after
   /// ClusterConfig::spill_compression (== spilled_raw_bytes when the codec

@@ -67,7 +67,7 @@ void JobStatsToJson(const JobStats& job, const CostModel* cost,
       .Key("records")
       .Value(job.spilled_records)
       .Key("bytes")
-      .Value(job.spilled_bytes)
+      .Value(job.spilled_raw_bytes)
       .Key("raw_bytes")
       .Value(job.spilled_raw_bytes)
       .Key("compressed_bytes")

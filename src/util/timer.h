@@ -19,6 +19,14 @@ class WallTimer {
 
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
+  /// Seconds since the last lap (or construction), then restarts: for
+  /// contiguous phase segments that sum to the whole.
+  double Lap() {
+    const double s = ElapsedSeconds();
+    Restart();
+    return s;
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

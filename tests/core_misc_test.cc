@@ -7,7 +7,6 @@
 #include <unordered_set>
 
 #include "core/contract.h"
-#include "core/gigatensor.h"
 #include "linalg/linalg.h"
 #include "core/records.h"
 #include "core/variant.h"
@@ -169,34 +168,6 @@ TEST(SliceBlocksType, GramMatchesDenseOnRealContraction) {
   ASSERT_OK(y.status());
   DenseMatrix dense = y->ToDenseMatrix();
   EXPECT_LT(y->GramOfRows().MaxAbsDiff(Gram(dense)), 1e-10);
-}
-
-TEST(GigaTensorAlias, RunsDrnRegardlessOfRequestedVariant) {
-  Rng rng(402);
-  SparseTensor x =
-      haten2::testing::RandomSparseTensor({10, 9, 8}, 80, &rng);
-  Haten2Options options;
-  options.max_iterations = 1;
-  options.compute_fit = false;
-  options.variant = Variant::kDri;  // must be overridden to kDrn
-
-  Engine engine(ClusterConfig::ForTesting());
-  ASSERT_OK(GigaTensorParafacAls(&engine, x, 3, options).status());
-  // One iteration = 3 MTTKRPs, each 2R+1 = 7 jobs under DRN.
-  EXPECT_EQ(engine.pipeline().NumJobs(), 3 * (2 * 3 + 1));
-
-  // And the factors agree with an explicit DRN run.
-  Engine drn_engine(ClusterConfig::ForTesting());
-  options.variant = Variant::kDrn;
-  Result<KruskalModel> drn = Haten2ParafacAls(&drn_engine, x, 3, options);
-  Engine giga_engine(ClusterConfig::ForTesting());
-  Result<KruskalModel> giga = GigaTensorParafacAls(&giga_engine, x, 3,
-                                                   options);
-  ASSERT_OK(drn.status());
-  ASSERT_OK(giga.status());
-  for (size_t m = 0; m < 3; ++m) {
-    EXPECT_DOUBLE_EQ(giga->factors[m].MaxAbsDiff(drn->factors[m]), 0.0);
-  }
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <numeric>
 #include <vector>
 
@@ -197,9 +196,8 @@ TEST(CostModelRetry, SpillDiskCostInvariantUnderFailureProbability) {
   // End-to-end: the same spilling workload run with and without failure
   // injection yields identical simulated disk cost. Simulating with zero
   // per-record CPU isolates the disk term: retries may only ever move CPU.
-  std::string spill_dir =
-      std::string(::testing::TempDir()) + "/haten2_cost_model_spills";
-  std::filesystem::create_directories(spill_dir);
+  const std::string spill_dir =
+      haten2::testing::PerTestDir("haten2_cost_model_spills");
   auto run = [&](double failure_prob) {
     ClusterConfig config = ClusterConfig::ForTesting();
     config.spill_directory = spill_dir;
@@ -222,7 +220,7 @@ TEST(CostModelRetry, SpillDiskCostInvariantUnderFailureProbability) {
   JobStats clean = run(0.0);
   JobStats flaky = run(0.5);
   ASSERT_GT(flaky.map_task_retries, 0) << "injection never fired";
-  ASSERT_GT(clean.spilled_bytes, 0u) << "nothing spilled";
+  ASSERT_GT(clean.spilled_raw_bytes, 0u) << "nothing spilled";
 
   ClusterConfig sim_config;
   sim_config.map_seconds_per_record = 0.0;

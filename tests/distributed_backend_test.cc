@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "core/nonnegative_tucker.h"
 #include "core/parafac.h"
 #include "core/tucker.h"
-#include "distributed/distributed_engine.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/plan.h"
 #include "mapreduce/scheduler.h"
@@ -28,19 +26,17 @@
 namespace haten2 {
 namespace {
 
-using distributed::WithSubprocessBackend;
 using distributed::WorkerStats;
-
-std::string BackendSpillDir() {
-  std::string dir =
-      std::string(::testing::TempDir()) + "/haten2_backend_spills";
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 ClusterConfig BaseConfig() {
   ClusterConfig config = ClusterConfig::ForTesting();
-  config.spill_directory = BackendSpillDir();
+  config.spill_directory = haten2::testing::PerTestDir("haten2_backend_spills");
+  return config;
+}
+
+ClusterConfig WithSubprocessBackend(ClusterConfig config, int num_workers) {
+  config.backend = "subprocess";
+  config.num_workers = num_workers;
   return config;
 }
 
@@ -79,38 +75,96 @@ TEST(DistributedBackendTest, SimpleJobMatchesInprocess) {
   EXPECT_GT(total_sent, 0u);
 }
 
-TEST(DistributedBackendTest, CombinerJobMatchesInprocessWithStatsParity) {
-  auto run = [](Engine* engine) {
-    return engine->Run<int64_t, double, int64_t, double>(
-        "backend-combine", 500,
-        [](int64_t i, ShuffleEmitter<int64_t, double>* em) {
-          em->Emit(i % 11, 1.0);
-        },
-        [](const int64_t& key, std::vector<double>& values,
-           OutputEmitter<int64_t, double>* out) {
-          double sum = 0.0;
-          for (double v : values) sum += v;
-          out->Emit(key, sum);
-        },
-        [](const double& a, const double& b) { return a + b; });
-  };
-  Engine reference(BaseConfig());
-  auto want = run(&reference);
-  ASSERT_OK(want.status());
-  Engine engine(WithSubprocessBackend(BaseConfig(), 3));
-  auto got = run(&engine);
-  ASSERT_OK(got.status());
-  EXPECT_EQ(*got, *want);
-
-  // Counter parity: both backends saw the same records through the same
-  // emitters and combiners.
-  const JobStats& a = reference.pipeline().jobs.back();
-  const JobStats& b = engine.pipeline().jobs.back();
+// Every deterministic JobStats field (everything but wall and phase times,
+// job/plan ids and the name) must agree across backends: both run the same
+// job core, so they count the same records at every step.
+void ExpectSameCounters(const JobStats& a, const JobStats& b) {
+  EXPECT_EQ(b.failure, a.failure);
   EXPECT_EQ(b.map_input_records, a.map_input_records);
+  EXPECT_EQ(b.map_task_records, a.map_task_records);
+  EXPECT_EQ(b.map_task_attempts, a.map_task_attempts);
+  EXPECT_EQ(b.map_task_retries, a.map_task_retries);
+  EXPECT_EQ(b.map_task_spilled_bytes, a.map_task_spilled_bytes);
   EXPECT_EQ(b.pre_combine_records, a.pre_combine_records);
   EXPECT_EQ(b.map_output_records, a.map_output_records);
   EXPECT_EQ(b.map_output_bytes, a.map_output_bytes);
+  EXPECT_EQ(b.spilled_records, a.spilled_records);
+  EXPECT_EQ(b.spilled_raw_bytes, a.spilled_raw_bytes);
+  EXPECT_EQ(b.spilled_compressed_bytes, a.spilled_compressed_bytes);
+  EXPECT_EQ(b.reduce_partition_records, a.reduce_partition_records);
+  EXPECT_EQ(b.reduce_partition_bytes, a.reduce_partition_bytes);
+  EXPECT_EQ(b.reduce_input_groups, a.reduce_input_groups);
   EXPECT_EQ(b.reduce_output_records, a.reduce_output_records);
+}
+
+// Sums values per key (mod 11) with a combiner.
+Result<std::vector<std::pair<int64_t, double>>> RunCombineJob(Engine* engine) {
+  return engine->Run<int64_t, double, int64_t, double>(
+      "backend-combine", 2000,
+      [](int64_t i, ShuffleEmitter<int64_t, double>* em) {
+        em->Emit(i % 11, 1.0);
+        em->Emit((i * 7) % 13, 0.5);
+      },
+      [](const int64_t& key, std::vector<double>& values,
+         OutputEmitter<int64_t, double>* out) {
+        double sum = 0.0;
+        for (double v : values) sum += v;
+        out->Emit(key, sum);
+      },
+      [](const double& a, const double& b) { return a + b; });
+}
+
+TEST(DistributedBackendTest, CombinerJobMatchesInprocessWithStatsParity) {
+  // The job spills (compressed runs), combines the resident records, and
+  // retries map tasks under failure injection.
+  ClusterConfig config = BaseConfig();
+  config.spill_threshold_records = 40;
+  config.spill_compression = SpillCompression::kDeltaVarint;
+  config.task_failure_probability = 0.3;
+  config.max_task_attempts = 20;
+  Engine reference(config);
+  auto want = RunCombineJob(&reference);
+  ASSERT_OK(want.status());
+  Engine engine(WithSubprocessBackend(config, 3));
+  auto got = RunCombineJob(&engine);
+  ASSERT_OK(got.status());
+  EXPECT_EQ(*got, *want);
+
+  const JobStats& a = reference.pipeline().jobs.back();
+  const JobStats& b = engine.pipeline().jobs.back();
+  // The job exercised every counter under comparison.
+  EXPECT_GT(a.map_task_retries, 0);
+  EXPECT_GT(a.spilled_records, 0);
+  EXPECT_LT(a.spilled_compressed_bytes, a.spilled_raw_bytes);
+  EXPECT_LT(a.map_output_records, a.pre_combine_records);
+  ExpectSameCounters(a, b);
+}
+
+TEST(DistributedBackendTest, FailedJobsMatchInprocess) {
+  // A map task that exhausts its attempts, and a torn spill write: same
+  // status code, failure kind and post-mortem counters on both backends.
+  ClusterConfig gave_up = BaseConfig();
+  gave_up.task_failure_probability = 1.0;
+  ClusterConfig torn_write = BaseConfig();
+  torn_write.spill_threshold_records = 40;
+  torn_write.inject_spill_failure_after_bytes = 1;
+  struct Case {
+    const char* failure;
+    ClusterConfig config;
+  };
+  for (const Case& c : {Case{"aborted", gave_up}, Case{"io_error", torn_write}}) {
+    SCOPED_TRACE(c.failure);
+    Engine reference(c.config);
+    auto want = RunCombineJob(&reference);
+    Engine engine(WithSubprocessBackend(c.config, 2));
+    auto got = RunCombineJob(&engine);
+    ASSERT_FALSE(want.ok());
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), want.status().code());
+    const JobStats& a = reference.pipeline().jobs.back();
+    EXPECT_EQ(a.failure, c.failure);
+    ExpectSameCounters(a, engine.pipeline().jobs.back());
+  }
 }
 
 TEST(DistributedBackendTest, SpillingJobMatchesInprocess) {
@@ -139,10 +193,10 @@ TEST(DistributedBackendTest, SpillingJobMatchesInprocess) {
   auto got = run(&engine);
   ASSERT_OK(got.status());
   EXPECT_EQ(*got, *want);
-  // Both backends actually spilled.
+  // Both backends actually spilled, and counted it the same way.
   EXPECT_GT(reference.pipeline().jobs.back().spilled_records, 0);
-  EXPECT_EQ(engine.pipeline().jobs.back().spilled_records,
-            reference.pipeline().jobs.back().spilled_records);
+  ExpectSameCounters(reference.pipeline().jobs.back(),
+                     engine.pipeline().jobs.back());
 }
 
 TEST(DistributedBackendTest, VectorOutputMatchesInprocess) {

@@ -118,7 +118,7 @@ TEST(EngineConcurrency, ParallelDirectRunsKeepStatsAndSpillsApart) {
     // and what the reducers received equals what the mappers shuffled.
     EXPECT_EQ(job.map_output_bytes,
               static_cast<uint64_t>(job.map_output_records) * sizeof(Record));
-    EXPECT_EQ(job.spilled_bytes,
+    EXPECT_EQ(job.spilled_raw_bytes,
               static_cast<uint64_t>(job.spilled_records) * sizeof(Record));
     int64_t received = 0;
     uint64_t received_bytes = 0;

@@ -25,14 +25,8 @@
 namespace haten2 {
 namespace {
 
-// Per-test spill directory: ctest runs each TEST as its own process in
-// parallel, so tests that assert "no .spill files remain" must not share a
-// directory with tests that are actively spilling.
-std::string SpillDir(const std::string& test) {
-  std::string dir =
-      std::string(::testing::TempDir()) + "/haten2_stats_spills_" + test;
-  std::filesystem::create_directories(dir);
-  return dir;
+std::string SpillDir() {
+  return haten2::testing::PerTestDir("haten2_stats_spills");
 }
 
 int64_t SpillFilesIn(const std::string& dir) {
@@ -176,7 +170,7 @@ TEST(EngineStats, CountersIdenticalAcrossThreadCounts) {
 
 TEST(EngineStats, OomJobKeepsSpillAndVolumeCounters) {
   ClusterConfig config = ClusterConfig::ForTesting();
-  config.spill_directory = SpillDir("oom");
+  config.spill_directory = SpillDir();
   config.spill_threshold_records = 64;
   config.total_shuffle_memory_bytes = 64 * 1024;
   Engine engine(config);
@@ -201,7 +195,7 @@ TEST(EngineStats, OomJobKeepsSpillAndVolumeCounters) {
   EXPECT_GT(job.map_output_records, 0);
   EXPECT_GT(job.map_output_bytes, 0u);
   EXPECT_GT(job.spilled_records, 0);
-  EXPECT_EQ(job.spilled_bytes,
+  EXPECT_EQ(job.spilled_raw_bytes,
             static_cast<uint64_t>(job.spilled_records) *
                 (ShuffleEmitter<int64_t, int64_t>::kRecordBytes));
   // ...the partition vectors report their true size (zero-filled: the job
@@ -220,7 +214,7 @@ TEST(EngineStats, AbortedJobRecordsFailureKindAndSpills) {
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     ClusterConfig config = ClusterConfig::ForTesting();
     config.num_machines = 8;
-    config.spill_directory = SpillDir("aborted");
+    config.spill_directory = SpillDir();
     config.spill_threshold_records = 16;
     config.task_failure_probability = 0.4;
     config.max_task_attempts = 1;
@@ -379,7 +373,7 @@ TEST(EngineStats, ConcurrentRunsWithSpillingProduceCorrectOutputs) {
   std::map<int64_t, int64_t> want_b = WordCount(&reference, words_b, "ref-b");
 
   ClusterConfig spilling = plain;
-  spilling.spill_directory = SpillDir("volume");
+  spilling.spill_directory = SpillDir();
   spilling.spill_threshold_records = 32;  // force many spill files
   for (int round = 0; round < 4; ++round) {
     Engine engine(spilling);

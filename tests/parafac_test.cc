@@ -75,6 +75,11 @@ TEST(Haten2Parafac, AllVariantsProduceTheSameModel) {
     options.variant = v;
     Result<KruskalModel> m = Haten2ParafacAls(&engine, x, 3, options);
     ASSERT_OK(m.status());
+    if (v == Variant::kDrn) {
+      // DRN (GigaTensor's scheme): each of the 3 MTTKRPs per iteration is
+      // 2R+1 jobs — R column jobs per contracted mode plus one merge.
+      EXPECT_EQ(engine.pipeline().NumJobs(), m->iterations * 3 * (2 * 3 + 1));
+    }
     models.push_back(std::move(m).value());
   }
   // Same seed + deterministic updates => identical factors across variants.

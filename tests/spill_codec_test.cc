@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 #include <string>
 #include <utility>
@@ -306,10 +305,7 @@ TEST(SpillCodecBlock, RejectsTrailingGarbage) {
 // --- end-to-end bit-identity -----------------------------------------------
 
 std::string CodecSpillDir() {
-  std::string dir =
-      std::string(::testing::TempDir()) + "/haten2_codec_spills";
-  std::filesystem::create_directories(dir);
-  return dir;
+  return haten2::testing::PerTestDir("haten2_codec_spills");
 }
 
 ClusterConfig SpillingConfig(SpillCompression codec) {

@@ -17,11 +17,7 @@
 namespace haten2 {
 namespace {
 
-std::string SpillDir() {
-  std::string dir = std::string(::testing::TempDir()) + "/haten2_spills";
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+std::string SpillDir() { return haten2::testing::PerTestDir("haten2_spills"); }
 
 int64_t SpillFilesIn(const std::string& dir) {
   int64_t n = 0;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "tensor/dense_matrix.h"
@@ -31,6 +33,23 @@ inline SparseTensor RandomSparseTensor(const std::vector<int64_t>& dims,
   }
   t.Canonicalize();
   return t;
+}
+
+/// A directory under the test temp dir named after `prefix` and the
+/// running test. ctest runs every TEST as its own process, in parallel, so
+/// a test that counts the files left in its directory must not share it
+/// with another test that is busy writing there.
+inline std::string PerTestDir(const std::string& prefix) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = prefix + "_" + info->test_suite_name() + "_" +
+                     info->name();
+  for (char& c : name) {
+    if (c == '/') c = '_';
+  }
+  const std::string dir = std::string(::testing::TempDir()) + "/" + name;
+  std::filesystem::create_directories(dir);
+  return dir;
 }
 
 #define ASSERT_OK(expr)                                               \

@@ -5,6 +5,7 @@
 #include "distributed/worker_pool.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <memory>
 #include <string>
@@ -108,6 +109,28 @@ TEST(WorkerPoolTest, DeliberateKillIsNotCountedAsRestart) {
   const std::vector<WorkerStats> stats = pool.StatsSnapshot();
   EXPECT_EQ(stats[0].restarts, 0);
   EXPECT_EQ(stats[1].restarts, 0);
+}
+
+TEST(WorkerPoolTest, WorkerLostBeforeReapCountsAsRestart) {
+  // The child drops its socket and exits nonzero only a moment later: the
+  // coordinator sees EOF (its worker_lost path) while the child may still
+  // be running, so the kill in FinishGang(true) must not pass the death
+  // off as deliberate.
+  WorkerPool pool(1);
+  ASSERT_TRUE(pool.SpawnGang([](int fd, int) {
+                    ::close(fd);
+                    ::usleep(200 * 1000);
+                    ::_exit(17);
+                    return 0;
+                  })
+                  .ok());
+  WireFrame frame;
+  EXPECT_FALSE(pool.channel(0)->ReadFrame(30.0, &frame).ok());
+  pool.FinishGang(/*kill=*/true);
+
+  ASSERT_TRUE(pool.SpawnGang([](int, int) { return 0; }).ok());
+  pool.FinishGang(/*kill=*/false);
+  EXPECT_EQ(pool.StatsSnapshot()[0].restarts, 1);
 }
 
 TEST(WorkerPoolTest, SpawnFailsWhileGangActive) {
