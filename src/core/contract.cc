@@ -119,10 +119,11 @@ Result<std::shared_ptr<const CsfLayout>> ContractCache::Layout(
 }
 
 DenseMatrix SliceBlocks::ToDenseMatrix() const {
-  DenseMatrix out(free_dim, BlockSize());
-  for (const auto& [slice, block] : rows) {
-    double* row = out.RowPtr(slice);
-    for (size_t j = 0; j < block.size(); ++j) row[j] = block[j];
+  const int64_t n = BlockSize();
+  DenseMatrix out(free_dim, n);
+  for (int64_t k = 0; k < num_rows(); ++k) {
+    const double* block = row(k);
+    std::copy(block, block + n, out.RowPtr(slice_ids[static_cast<size_t>(k)]));
   }
   return out;
 }
@@ -130,14 +131,13 @@ DenseMatrix SliceBlocks::ToDenseMatrix() const {
 DenseMatrix SliceBlocks::GramOfRows() const {
   const int64_t n = BlockSize();
   DenseMatrix gram(n, n);
-  for (const auto& [slice, block] : rows) {
+  for (int64_t k = 0; k < num_rows(); ++k) {
+    const double* block = row(k);
     for (int64_t a = 0; a < n; ++a) {
-      double va = block[static_cast<size_t>(a)];
+      double va = block[a];
       if (va == 0.0) continue;
       double* grow = gram.RowPtr(a);
-      for (int64_t b = a; b < n; ++b) {
-        grow[b] += va * block[static_cast<size_t>(b)];
-      }
+      for (int64_t b = a; b < n; ++b) grow[b] += va * block[b];
     }
   }
   for (int64_t a = 0; a < n; ++a) {

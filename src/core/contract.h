@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/records.h"
@@ -120,26 +119,42 @@ enum class MergeKind {
   kSketchFused = 2,
 };
 
-/// \brief Result of one bottleneck-op evaluation Y: one dense block per
-/// *nonempty* index of the free mode (row i of Y₍ₙ₎).
+/// \brief Result of one bottleneck-op evaluation Y: one dense row per
+/// *nonempty* index of the free mode (row i of Y₍ₙ₎), kept as a sorted row
+/// block.
 ///
-/// For kCross the block is the row of Y₍free₎ ∈ R^{I_free × ΠQ_s}, laid out
-/// in Kolda column order (first contracted mode varies fastest). For
-/// kPairwise the block is the length-R row of the MTTKRP result. Absent rows
-/// are all-zero (the free-mode slice of X was empty), matching the sparsity
-/// the paper exploits: only nnz-touched slices materialize.
+/// `slice_ids` lists the free-mode indices that have a row, strictly
+/// ascending; `values` holds those rows back to back, row-major
+/// (slice_ids.size() × BlockSize()). For kCross a row is the row of
+/// Y₍free₎ ∈ R^{I_free × ΠQ_s}, laid out in Kolda column order (first
+/// contracted mode varies fastest). For kPairwise it is the length-R row of
+/// the MTTKRP result. Absent slices are all-zero rows (the free-mode slice
+/// of X was empty), matching the sparsity the paper exploits: only
+/// nnz-touched slices materialize.
+///
+/// Every producer emits its rows in ascending slice order by construction,
+/// so any float sum over rows (GramOfRows, the Tucker leading-factor norms
+/// and core accumulation) runs in the same order whichever strategy,
+/// variant, backend or schedule produced the block.
 struct SliceBlocks {
   int64_t free_dim = 0;
   /// Column counts of the contracted factors, in ascending mode order.
   /// For kPairwise this has a single entry R.
   std::vector<int64_t> block_dims;
-  std::unordered_map<int64_t, std::vector<double>> rows;
+  std::vector<int64_t> slice_ids;
+  std::vector<double> values;
 
   int64_t BlockSize() const {
     int64_t n = 1;
     for (int64_t d : block_dims) n *= d;
     return n;
   }
+  int64_t num_rows() const { return static_cast<int64_t>(slice_ids.size()); }
+  /// Row k, the block of free-mode index slice_ids[k].
+  const double* row(int64_t k) const {
+    return values.data() + k * BlockSize();
+  }
+  double* row(int64_t k) { return values.data() + k * BlockSize(); }
 
   /// Densifies to the full free_dim x BlockSize() matrix (Y₍free₎).
   DenseMatrix ToDenseMatrix() const;

@@ -36,6 +36,17 @@ struct ContractionContext {
   ContractCache* cache = nullptr;
 
   int num_streams() const { return static_cast<int>(cmodes.size()); }
+
+  /// The output shape every strategy fills, with no rows yet: free_dim =
+  /// I_free, and rows of width ΠQ_s for kCross or of the single shared
+  /// rank R for the pairwise-style merges.
+  SliceBlocks EmptyBlocks() const {
+    SliceBlocks out;
+    out.free_dim = x->dim(free_mode);
+    out.block_dims = block_dims;
+    if (kind != MergeKind::kCross) out.block_dims.resize(1);
+    return out;
+  }
 };
 
 /// \brief How one contraction evaluation executes. Implementations are

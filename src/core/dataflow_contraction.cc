@@ -4,6 +4,9 @@
 #include <array>
 #include <cstring>
 #include <memory>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/records.h"
 #include "mapreduce/plan.h"
@@ -15,12 +18,13 @@ namespace haten2 {
 
 namespace {
 
-/// Tags every node of a finished contraction plan with the strategy name
-/// before it is scheduled, so PlanNodeStats / stats_json attribute the work.
-void AnnotateDataflow(Plan* plan) {
+/// Tags every node of a finished contraction plan with the strategy name,
+/// so PlanNodeStats / stats_json attribute the work, then runs the plan.
+Status ExecuteDataflow(const ContractionContext& ctx, Plan* plan) {
   for (int i = 0; i < plan->size(); ++i) {
     plan->AnnotateContraction(i, "dataflow");
   }
+  return PlanScheduler(ctx.engine).Execute(*plan);
 }
 
 
@@ -46,17 +50,6 @@ struct CoordStdHash {
   }
 };
 
-SliceBlocks MakeEmptyBlocks(const ContractionContext& ctx) {
-  SliceBlocks out;
-  out.free_dim = ctx.x->dim(ctx.free_mode);
-  if (ctx.kind == MergeKind::kCross) {
-    out.block_dims = ctx.block_dims;
-  } else {
-    out.block_dims = {ctx.block_dims.empty() ? 0 : ctx.block_dims[0]};
-  }
-  return out;
-}
-
 /// Kolda-order weights for the contracted modes: stream 0 varies fastest.
 std::vector<int64_t> BlockWeights(const ContractionContext& ctx) {
   std::vector<int64_t> w(ctx.block_dims.size(), 1);
@@ -64,6 +57,56 @@ std::vector<int64_t> BlockWeights(const ContractionContext& ctx) {
     w[s] = w[s - 1] * ctx.block_dims[s - 1];
   }
   return w;
+}
+
+/// Output of a merge job: one (slice, block) pair per reduce group.
+using MergeOutput = std::vector<std::pair<int64_t, std::vector<double>>>;
+
+/// Appends a merge job's blocks to `blocks` as rows in ascending slice
+/// order (the reduce groups' output order depends on the partitioning).
+void AppendSortedRows(MergeOutput out, SliceBlocks* blocks) {
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  blocks->slice_ids.reserve(out.size());
+  blocks->values.reserve(out.size() *
+                         static_cast<size_t>(blocks->BlockSize()));
+  for (const auto& [slice, block] : out) {
+    blocks->slice_ids.push_back(slice);
+    blocks->values.insert(blocks->values.end(), block.begin(), block.end());
+  }
+}
+
+/// Blocks of `ctx`'s output shape with one zero row per slice touched by
+/// `record_sets`, ascending.
+SliceBlocks ZeroRowsForSlices(
+    const ContractionContext& ctx,
+    const std::vector<const std::vector<TensorRecord>*>& record_sets) {
+  SliceBlocks blocks = ctx.EmptyBlocks();
+  std::vector<int64_t>& slices = blocks.slice_ids;
+  for (const auto* records : record_sets) {
+    for (const TensorRecord& rec : *records) {
+      slices.push_back(rec.coord.c[static_cast<size_t>(ctx.free_mode)]);
+    }
+  }
+  std::sort(slices.begin(), slices.end());
+  slices.erase(std::unique(slices.begin(), slices.end()), slices.end());
+  blocks.values.assign(slices.size() * static_cast<size_t>(blocks.BlockSize()),
+                       0.0);
+  return blocks;
+}
+
+/// The row of `blocks` holding the record's free-mode slice (which
+/// ZeroRowsForSlices created).
+double* RowOf(const ContractionContext& ctx, const TensorRecord& rec,
+              SliceBlocks* blocks) {
+  const int64_t slice = rec.coord.c[static_cast<size_t>(ctx.free_mode)];
+  const auto it = std::lower_bound(blocks->slice_ids.begin(),
+                                   blocks->slice_ids.end(), slice);
+  return blocks->row(it - blocks->slice_ids.begin());
+}
+
+const char* MergeName(MergeKind kind) {
+  return kind == MergeKind::kCross ? "CrossMerge" : "PairwiseMerge";
 }
 
 // ---------------------------------------------------------------------------
@@ -212,7 +255,7 @@ Result<std::vector<KeyedHadamard>> RunDrnHadamardJob(const ContractionContext& c
 Result<SliceBlocks> RunMergeJob(const ContractionContext& ctx,
                                 const std::vector<KeyedHadamard>& input) {
   const int num_streams = ctx.num_streams();
-  SliceBlocks blocks = MakeEmptyBlocks(ctx);
+  SliceBlocks blocks = ctx.EmptyBlocks();
   const int64_t block_size = blocks.BlockSize();
   const std::vector<int64_t> weights = BlockWeights(ctx);
 
@@ -222,7 +265,7 @@ Result<SliceBlocks> RunMergeJob(const ContractionContext& ctx,
     em->Emit(rec.first, rec.second);
   };
 
-  auto reducer = [&](const int64_t& /*slice*/,
+  auto reducer = [&](const int64_t& slice,
                      std::vector<HadamardRecord>& values,
                      OutputEmitter<int64_t, std::vector<double>>* out) {
     // Join the streams on the original tensor coordinate.
@@ -289,32 +332,16 @@ Result<SliceBlocks> RunMergeJob(const ContractionContext& ctx,
         }
       }
     }
-    // Re-use the slice id stored in any record's coordinate.
-    if (!values.empty()) {
-      int64_t slice = values.front()
-                          .coord.c[static_cast<size_t>(ctx.free_mode)];
-      out->Emit(slice, std::move(block));
-    }
+    out->Emit(slice, std::move(block));
   };
 
-  const char* name =
-      ctx.kind == MergeKind::kCross ? "CrossMerge" : "PairwiseMerge";
   HATEN2_ASSIGN_OR_RETURN(
-      auto out,
+      MergeOutput out,
       (ctx.engine->Run<int64_t, HadamardRecord, int64_t,
                        std::vector<double>>(
-          name, static_cast<int64_t>(input.size()), reader, reducer)));
-  // Canonical row-insertion order: every strategy inserts SliceBlocks rows
-  // in ascending slice order, so the map's iteration order (which downstream
-  // float sums like GramOfRows depend on) is strategy-independent.
-  std::sort(out.begin(), out.end(),
-            [](const std::pair<int64_t, std::vector<double>>& a,
-               const std::pair<int64_t, std::vector<double>>& b) {
-              return a.first < b.first;
-            });
-  for (auto& [slice, block] : out) {
-    blocks.rows[slice] = std::move(block);
-  }
+          MergeName(ctx.kind), static_cast<int64_t>(input.size()), reader,
+          reducer)));
+  AppendSortedRows(std::move(out), &blocks);
   return blocks;
 }
 
@@ -410,38 +437,13 @@ Result<std::vector<TensorRecord>> RunDnnCollapseJob(
   return result;
 }
 
-/// Pre-inserts one zero row per slice touched by `record_sets`, in ascending
-/// slice order. Accumulation afterwards lands in existing rows, so the
-/// accumulation float order is unchanged while the map's insertion order —
-/// and hence its iteration order, which downstream float sums like
-/// GramOfRows depend on — is canonical and strategy-independent.
-void PreinsertRowsAscending(
-    const ContractionContext& ctx,
-    const std::vector<const std::vector<TensorRecord>*>& record_sets,
-    int64_t block_size, SliceBlocks* blocks) {
-  std::vector<int64_t> slices;
-  for (const auto* records : record_sets) {
-    for (const TensorRecord& rec : *records) {
-      slices.push_back(rec.coord.c[static_cast<size_t>(ctx.free_mode)]);
-    }
-  }
-  std::sort(slices.begin(), slices.end());
-  slices.erase(std::unique(slices.begin(), slices.end()), slices.end());
-  for (int64_t slice : slices) {
-    blocks->rows.emplace(
-        slice, std::vector<double>(static_cast<size_t>(block_size), 0.0));
-  }
-}
-
 /// Assembles Y from the final cross-variant records: coordinates at
 /// contracted modes hold factor-column indices. Record order is the merge
 /// order, so identical inputs give bit-identical float sums.
 SliceBlocks AssembleCrossBlocks(const ContractionContext& ctx,
                                 const std::vector<TensorRecord>& records) {
-  SliceBlocks blocks = MakeEmptyBlocks(ctx);
+  SliceBlocks blocks = ZeroRowsForSlices(ctx, {&records});
   const std::vector<int64_t> weights = BlockWeights(ctx);
-  const int64_t block_size = blocks.BlockSize();
-  PreinsertRowsAscending(ctx, {&records}, block_size, &blocks);
   for (const TensorRecord& rec : records) {
     int64_t off = 0;
     for (int s = 0; s < ctx.num_streams(); ++s) {
@@ -449,26 +451,24 @@ SliceBlocks AssembleCrossBlocks(const ContractionContext& ctx,
                  s)])] *
              weights[static_cast<size_t>(s)];
     }
-    int64_t slice = rec.coord.c[static_cast<size_t>(ctx.free_mode)];
-    auto [it, inserted] = blocks.rows.try_emplace(slice);
-    if (inserted) it->second.assign(static_cast<size_t>(block_size), 0.0);
-    it->second[static_cast<size_t>(off)] += rec.value;
+    RowOf(ctx, rec, &blocks)[off] += rec.value;
   }
   return blocks;
 }
 
-/// Accumulates one pairwise chain's final records into column `r` of the
-/// blocks. Called in ascending-r order so blocks.rows insertion order (and
-/// hence downstream map-iteration float sums) match the serial evaluation.
-void AccumulatePairwiseColumn(const ContractionContext& ctx, int64_t rank, int64_t r,
-                              const std::vector<TensorRecord>& records,
-                              SliceBlocks* blocks) {
-  for (const TensorRecord& rec : records) {
-    int64_t slice = rec.coord.c[static_cast<size_t>(ctx.free_mode)];
-    auto [it, inserted] = blocks->rows.try_emplace(slice);
-    if (inserted) it->second.assign(static_cast<size_t>(rank), 0.0);
-    it->second[static_cast<size_t>(r)] += rec.value;
+/// Assembles Y from the pairwise chains' final records: chain r's records
+/// accumulate into column r, chains in ascending r and each in record order,
+/// so every cell's float sum is independent of how the chains interleaved.
+SliceBlocks AssemblePairwiseBlocks(
+    const ContractionContext& ctx,
+    const std::vector<const std::vector<TensorRecord>*>& finals) {
+  SliceBlocks blocks = ZeroRowsForSlices(ctx, finals);
+  for (size_t r = 0; r < finals.size(); ++r) {
+    for (const TensorRecord& rec : *finals[r]) {
+      RowOf(ctx, rec, &blocks)[r] += rec.value;
+    }
   }
+  return blocks;
 }
 
 Result<SliceBlocks> RunDnnCross(const ContractionContext& ctx,
@@ -520,19 +520,16 @@ Result<SliceBlocks> RunDnnCross(const ContractionContext& ctx,
         },
         &st[static_cast<size_t>(s)].collapsed);
   }
-  AnnotateDataflow(&plan);
-  PlanScheduler scheduler(ctx.engine);
-  HATEN2_RETURN_IF_ERROR(scheduler.Execute(plan));
+  HATEN2_RETURN_IF_ERROR(ExecuteDataflow(ctx, &plan));
   return AssembleCrossBlocks(ctx, st.back().collapsed);
 }
 
 Result<SliceBlocks> RunDnnPairwise(const ContractionContext& ctx,
                                    const std::vector<TensorRecord>& base) {
-  SliceBlocks blocks = MakeEmptyBlocks(ctx);
-  const int64_t rank = blocks.block_dims[0];
+  const int64_t rank = ctx.block_dims[0];
   // One Hadamard→Collapse chain per rank column; chains share no data, so
   // the scheduler overlaps them. Accumulation into the blocks happens after
-  // the plan, in ascending-r order (see AccumulatePairwiseColumn).
+  // the plan (see AssemblePairwiseBlocks).
   Plan plan("contract-dnn-pairwise");
   struct Chain {
     std::vector<std::vector<HadamardRecord>> scaled;   // per stream
@@ -568,18 +565,10 @@ Result<SliceBlocks> RunDnnPairwise(const ContractionContext& ctx,
           &ch.collapsed[static_cast<size_t>(s)]);
     }
   }
-  AnnotateDataflow(&plan);
-  PlanScheduler scheduler(ctx.engine);
-  HATEN2_RETURN_IF_ERROR(scheduler.Execute(plan));
+  HATEN2_RETURN_IF_ERROR(ExecuteDataflow(ctx, &plan));
   std::vector<const std::vector<TensorRecord>*> finals;
   for (const Chain& ch : chains) finals.push_back(&ch.collapsed.back());
-  PreinsertRowsAscending(ctx, finals, rank, &blocks);
-  for (int64_t r = 0; r < rank; ++r) {
-    AccumulatePairwiseColumn(ctx, rank, r,
-                             chains[static_cast<size_t>(r)].collapsed.back(),
-                             &blocks);
-  }
-  return blocks;
+  return AssemblePairwiseBlocks(ctx, finals);
 }
 
 // ---------------------------------------------------------------------------
@@ -660,6 +649,22 @@ Result<std::vector<TensorRecord>> RunNaiveTtvJob(
   return result;
 }
 
+/// Dimensions of the in-flight tensor before contracting each stream: every
+/// earlier contraction replaced its mode's extent with the factor's column
+/// count (cross chains, `keep_columns`) or with 1 (pairwise chains). Known
+/// at plan-build time: the sequence is data-independent.
+std::vector<std::vector<int64_t>> NaiveDimsBefore(
+    const ContractionContext& ctx, bool keep_columns) {
+  std::vector<std::vector<int64_t>> before;
+  std::vector<int64_t> dims = ctx.x->dims();
+  for (int s = 0; s < ctx.num_streams(); ++s) {
+    before.push_back(dims);
+    dims[static_cast<size_t>(ctx.cmodes[static_cast<size_t>(s)])] =
+        keep_columns ? ctx.cfactors[static_cast<size_t>(s)]->cols() : 1;
+  }
+  return before;
+}
+
 Result<SliceBlocks> RunNaiveCross(const ContractionContext& ctx,
                                   const std::vector<TensorRecord>& base) {
   // Per stream: independent per-column TTV nodes over the previous stream's
@@ -671,19 +676,7 @@ Result<SliceBlocks> RunNaiveCross(const ContractionContext& ctx,
     std::vector<TensorRecord> current;             // concatenated
   };
   std::vector<StreamState> st(static_cast<size_t>(ctx.num_streams()));
-  // Dimensions of the in-flight tensor before contracting each stream
-  // (earlier contractions replaced their mode's extent with the factor's
-  // column count). Known at build time: the sequence is data-independent.
-  std::vector<std::vector<int64_t>> dims_before(
-      static_cast<size_t>(ctx.num_streams()));
-  {
-    std::vector<int64_t> dims = ctx.x->dims();
-    for (int s = 0; s < ctx.num_streams(); ++s) {
-      dims_before[static_cast<size_t>(s)] = dims;
-      dims[static_cast<size_t>(ctx.cmodes[static_cast<size_t>(s)])] =
-          ctx.cfactors[static_cast<size_t>(s)]->cols();
-    }
-  }
+  const auto dims_before = NaiveDimsBefore(ctx, /*keep_columns=*/true);
   int prev_concat = -1;
   for (int s = 0; s < ctx.num_streams(); ++s) {
     const int mode = ctx.cmodes[static_cast<size_t>(s)];
@@ -717,16 +710,13 @@ Result<SliceBlocks> RunNaiveCross(const ContractionContext& ctx,
           return Status::OK();
         });
   }
-  AnnotateDataflow(&plan);
-  PlanScheduler scheduler(ctx.engine);
-  HATEN2_RETURN_IF_ERROR(scheduler.Execute(plan));
+  HATEN2_RETURN_IF_ERROR(ExecuteDataflow(ctx, &plan));
   return AssembleCrossBlocks(ctx, st.back().current);
 }
 
 Result<SliceBlocks> RunNaivePairwise(const ContractionContext& ctx,
                                      const std::vector<TensorRecord>& base) {
-  SliceBlocks blocks = MakeEmptyBlocks(ctx);
-  const int64_t rank = blocks.block_dims[0];
+  const int64_t rank = ctx.block_dims[0];
   // One TTV chain per rank column, independent across columns; blocks are
   // accumulated after the plan in ascending-r order.
   Plan plan("contract-naive-pairwise");
@@ -734,15 +724,7 @@ Result<SliceBlocks> RunNaivePairwise(const ContractionContext& ctx,
     std::vector<std::vector<TensorRecord>> current;  // per stream
   };
   std::vector<Chain> chains(static_cast<size_t>(rank));
-  std::vector<std::vector<int64_t>> dims_before(
-      static_cast<size_t>(ctx.num_streams()));
-  {
-    std::vector<int64_t> dims = ctx.x->dims();
-    for (int s = 0; s < ctx.num_streams(); ++s) {
-      dims_before[static_cast<size_t>(s)] = dims;
-      dims[static_cast<size_t>(ctx.cmodes[static_cast<size_t>(s)])] = 1;
-    }
-  }
+  const auto dims_before = NaiveDimsBefore(ctx, /*keep_columns=*/false);
   for (int64_t r = 0; r < rank; ++r) {
     Chain& ch = chains[static_cast<size_t>(r)];
     ch.current.resize(static_cast<size_t>(ctx.num_streams()));
@@ -765,22 +747,10 @@ Result<SliceBlocks> RunNaivePairwise(const ContractionContext& ctx,
           &ch.current[static_cast<size_t>(s)]);
     }
   }
-  AnnotateDataflow(&plan);
-  PlanScheduler scheduler(ctx.engine);
-  HATEN2_RETURN_IF_ERROR(scheduler.Execute(plan));
+  HATEN2_RETURN_IF_ERROR(ExecuteDataflow(ctx, &plan));
   std::vector<const std::vector<TensorRecord>*> finals;
   for (const Chain& ch : chains) finals.push_back(&ch.current.back());
-  PreinsertRowsAscending(ctx, finals, rank, &blocks);
-  for (int64_t r = 0; r < rank; ++r) {
-    AccumulatePairwiseColumn(ctx, rank, r,
-                             chains[static_cast<size_t>(r)].current.back(),
-                             &blocks);
-  }
-  return blocks;
-}
-
-const char* MergeName(MergeKind kind) {
-  return kind == MergeKind::kCross ? "CrossMerge" : "PairwiseMerge";
+  return AssemblePairwiseBlocks(ctx, finals);
 }
 
 // ---------------------------------------------------------------------------
@@ -838,21 +808,12 @@ Result<SliceBlocks> RunSketchFused(const ContractionContext& ctx) {
   };
 
   HATEN2_ASSIGN_OR_RETURN(
-      auto out,
+      MergeOutput out,
       (ctx.engine->Run<int64_t, HadamardRecord, int64_t,
                        std::vector<double>>("SketchFusedMerge", domain,
                                             reader, reducer)));
-  SliceBlocks blocks = MakeEmptyBlocks(ctx);
-  // Ascending-slice insertion, as in RunMergeJob: downstream float sums
-  // depend on the rows map's iteration order.
-  std::sort(out.begin(), out.end(),
-            [](const std::pair<int64_t, std::vector<double>>& a,
-               const std::pair<int64_t, std::vector<double>>& b) {
-              return a.first < b.first;
-            });
-  for (auto& [slice, block] : out) {
-    blocks.rows[slice] = std::move(block);
-  }
+  SliceBlocks blocks = ctx.EmptyBlocks();
+  AppendSortedRows(std::move(out), &blocks);
   return blocks;
 }
 
@@ -862,9 +823,7 @@ Result<SliceBlocks> RunSketchFusedPlan(const ContractionContext& ctx) {
   plan.AddProducer<SliceBlocks>(
       "SketchFusedMerge", {}, [&ctx] { return RunSketchFused(ctx); },
       &blocks);
-  AnnotateDataflow(&plan);
-  PlanScheduler scheduler(ctx.engine);
-  HATEN2_RETURN_IF_ERROR(scheduler.Execute(plan));
+  HATEN2_RETURN_IF_ERROR(ExecuteDataflow(ctx, &plan));
   return blocks;
 }
 
@@ -881,9 +840,7 @@ Result<SliceBlocks> RunDri(const ContractionContext& ctx) {
   plan.AddProducer<SliceBlocks>(
       MergeName(ctx.kind), {imhp},
       [&ctx, &scaled] { return RunMergeJob(ctx, scaled); }, &blocks);
-  AnnotateDataflow(&plan);
-  PlanScheduler scheduler(ctx.engine);
-  HATEN2_RETURN_IF_ERROR(scheduler.Execute(plan));
+  HATEN2_RETURN_IF_ERROR(ExecuteDataflow(ctx, &plan));
   return blocks;
 }
 
@@ -926,9 +883,7 @@ Result<SliceBlocks> RunDrn(const ContractionContext& ctx) {
         return RunMergeJob(ctx, collected);
       },
       &blocks);
-  AnnotateDataflow(&plan);
-  PlanScheduler scheduler(ctx.engine);
-  HATEN2_RETURN_IF_ERROR(scheduler.Execute(plan));
+  HATEN2_RETURN_IF_ERROR(ExecuteDataflow(ctx, &plan));
   return blocks;
 }
 

@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "linalg/sparse_kernels.h"
 #include "mapreduce/plan.h"
@@ -35,34 +34,20 @@ Result<SliceBlocks> InCoreContraction::Contract(
         }
         timing->layout_build_seconds = build_timer.ElapsedSeconds();
 
+        // The kernels emit only nnz-touched slices, matching the dataflow
+        // merges, as one flat row-major buffer in layout (ascending) order.
+        SliceBlocks out = ctx.EmptyBlocks();
         WallTimer eval_timer;
-        std::vector<std::vector<double>> rows;
         if (ctx.kind != MergeKind::kCross) {
           const int rank = static_cast<int>(ctx.block_dims[0]);
           HATEN2_RETURN_IF_ERROR(
-              CsfMttkrp(*layout, ctx.cfactors, rank, &rows));
+              CsfMttkrp(*layout, ctx.cfactors, rank, &out.values));
         } else {
-          HATEN2_RETURN_IF_ERROR(
-              CsfCrossContract(*layout, ctx.cfactors, ctx.block_dims, &rows));
+          HATEN2_RETURN_IF_ERROR(CsfCrossContract(
+              *layout, ctx.cfactors, ctx.block_dims, &out.values));
         }
         timing->evaluate_seconds = eval_timer.ElapsedSeconds();
-
-        SliceBlocks out;
-        out.free_dim = ctx.x->dim(ctx.free_mode);
-        if (ctx.kind != MergeKind::kCross) {
-          out.block_dims = {ctx.block_dims.empty() ? 0 : ctx.block_dims[0]};
-        } else {
-          out.block_dims = ctx.block_dims;
-        }
-        // No reserve: the rows map must share the dataflow path's rehash
-        // history (insertions ascending, default growth) so its iteration
-        // order — which downstream float sums depend on — matches.
-        for (int64_t si = 0; si < layout->num_slices(); ++si) {
-          // The kernels emit only nnz-touched slices, matching the dataflow
-          // merges; all-zero rows stay absent.
-          out.rows.emplace(layout->slice_ids[static_cast<size_t>(si)],
-                           std::move(rows[static_cast<size_t>(si)]));
-        }
+        out.slice_ids = layout->slice_ids;
         return out;
       },
       &blocks);

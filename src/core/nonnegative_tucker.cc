@@ -6,6 +6,7 @@
 
 #include "core/als_harness.h"
 #include "core/records.h"
+#include "core/tucker.h"
 #include "linalg/linalg.h"
 #include "tensor/tensor_ops.h"
 #include "util/random.h"
@@ -195,14 +196,14 @@ Result<TuckerModel> Haten2NonnegativeTuckerAls(
       const int64_t jn = g_n.rows();
       // Numerator: Y₍ₙ₎ G₍ₙ₎ᵀ, accumulated over nonempty slices only.
       DenseMatrix numerator(x.dim(n), jn);
-      for (const auto& [slice, row] : y.rows) {
+      const int64_t block = y.BlockSize();
+      for (int64_t k = 0; k < y.num_rows(); ++k) {
+        const double* row = y.row(k);
         for (int64_t p = 0; p < jn; ++p) {
           double dot = 0.0;
           const double* grow = g_n.RowPtr(p);
-          for (size_t c = 0; c < row.size(); ++c) {
-            dot += row[c] * grow[c];
-          }
-          numerator(slice, p) = dot;
+          for (int64_t c = 0; c < block; ++c) dot += row[c] * grow[c];
+          numerator(y.slice_ids[static_cast<size_t>(k)], p) = dot;
         }
       }
       // Denominator: A⁽ⁿ⁾ · [G₍ₙ₎ (⊗ grams) G₍ₙ₎ᵀ].
@@ -229,20 +230,11 @@ Result<TuckerModel> Haten2NonnegativeTuckerAls(
         MultiModeContract(engine, x, model.FactorPtrs(), order - 1,
                           MergeKind::kCross, options.variant,
                           harness.cache()));
-    const DenseMatrix& a_last = model.factors[static_cast<size_t>(order - 1)];
-    DenseMatrix p_unfolded(core_dims[static_cast<size_t>(order - 1)],
-                           y_last.BlockSize());
-    for (const auto& [slice, row] : y_last.rows) {
-      for (int64_t p = 0; p < p_unfolded.rows(); ++p) {
-        double w = a_last(slice, p);
-        if (w == 0.0) continue;
-        double* prow = p_unfolded.RowPtr(p);
-        for (size_t c = 0; c < row.size(); ++c) prow[c] += w * row[c];
-      }
-    }
     HATEN2_ASSIGN_OR_RETURN(
         DenseTensor numerator,
-        DenseTensor::Fold(p_unfolded, order - 1, core_dims));
+        TuckerCoreFromBlocks(y_last,
+                             model.factors[static_cast<size_t>(order - 1)],
+                             core_dims, order - 1));
     HATEN2_ASSIGN_OR_RETURN(DenseTensor denominator,
                             CoreTimesAllGrams(model.core, grams));
     for (int64_t lin = 0; lin < model.core.size(); ++lin) {

@@ -47,6 +47,69 @@ Status ValidateKernelArgs(const CsfLayout& layout,
   return Status::OK();
 }
 
+Status ValidateMttkrpArgs(const CsfLayout& layout,
+                          const std::vector<const DenseMatrix*>& cfactors,
+                          int rank, bool has_output) {
+  HATEN2_RETURN_IF_ERROR(ValidateKernelArgs(layout, cfactors));
+  if (rank <= 0) {
+    return Status::InvalidArgument("CsfMttkrp: rank must be positive");
+  }
+  for (const DenseMatrix* f : cfactors) {
+    if (f->cols() != rank) {
+      return Status::InvalidArgument(
+          StrFormat("CsfMttkrp: factor has %lld columns, expected rank %d",
+                    static_cast<long long>(f->cols()), rank));
+    }
+  }
+  if (!has_output) {
+    return Status::InvalidArgument("CsfMttkrp: null output");
+  }
+  return Status::OK();
+}
+
+/// Body shared by both CsfMttkrp overloads: `row_at(si)` is the zeroed
+/// length-`rank` output row of stored slice si.
+template <typename RowAt>
+void MttkrpInto(const CsfLayout& layout,
+                const std::vector<const DenseMatrix*>& cfactors, int rank,
+                RowAt row_at) {
+  const int s = layout.num_streams;
+  const int64_t num_slices = layout.num_slices();
+  double t[kRankBlock];
+  for (int r0 = 0; r0 < rank; r0 += kRankBlock) {
+    const int rb = std::min(kRankBlock, rank - r0);
+    for (int64_t si = 0; si < num_slices; ++si) {
+      double* row = row_at(si) + r0;
+      const int64_t fb = layout.slice_fiber_begin[static_cast<size_t>(si)];
+      const int64_t fe = layout.slice_fiber_begin[static_cast<size_t>(si) + 1];
+      for (int64_t f = fb; f < fe; ++f) {
+        // Pass 1 (SpMV): inner product over the first contracted mode.
+        std::memset(t, 0, sizeof(double) * static_cast<size_t>(rb));
+        const int64_t eb = layout.fiber_entry_begin[static_cast<size_t>(f)];
+        const int64_t ee = layout.fiber_entry_begin[static_cast<size_t>(f) + 1];
+        for (int64_t e = eb; e < ee; ++e) {
+          const double v = layout.values[static_cast<size_t>(e)];
+          const double* a0 =
+              cfactors[0]->RowPtr(layout.entry_inner[static_cast<size_t>(e)]) +
+              r0;
+          for (int j = 0; j < rb; ++j) t[j] += v * a0[j];
+        }
+        // Pass 2: scale by the outer contracted factors, ascending mode
+        // order (matches the dataflow merge's product association).
+        const int64_t* oc =
+            layout.fiber_coords.data() + f * (s - 1);
+        for (int k = 1; k < s; ++k) {
+          const double* ak = cfactors[static_cast<size_t>(k)]->RowPtr(
+                                 oc[k - 1]) +
+                             r0;
+          for (int j = 0; j < rb; ++j) t[j] *= ak[j];
+        }
+        for (int j = 0; j < rb; ++j) row[j] += t[j];
+      }
+    }
+  }
+}
+
 }  // namespace
 
 uint64_t CsfLayout::MemoryBytes() const {
@@ -299,70 +362,34 @@ Result<CsfLayout> PatchCsfLayout(const CsfLayout& old_layout,
 
 Status CsfMttkrp(const CsfLayout& layout,
                  const std::vector<const DenseMatrix*>& cfactors, int rank,
+                 std::vector<double>* values) {
+  HATEN2_RETURN_IF_ERROR(
+      ValidateMttkrpArgs(layout, cfactors, rank, values != nullptr));
+  values->assign(static_cast<size_t>(layout.num_slices() * rank), 0.0);
+  double* out = values->data();
+  MttkrpInto(layout, cfactors, rank,
+             [out, rank](int64_t si) { return out + si * rank; });
+  return Status::OK();
+}
+
+Status CsfMttkrp(const CsfLayout& layout,
+                 const std::vector<const DenseMatrix*>& cfactors, int rank,
                  std::vector<std::vector<double>>* rows) {
-  Status st = ValidateKernelArgs(layout, cfactors);
-  if (!st.ok()) return st;
-  if (rank <= 0) {
-    return Status::InvalidArgument("CsfMttkrp: rank must be positive");
-  }
-  for (const DenseMatrix* f : cfactors) {
-    if (f->cols() != rank) {
-      return Status::InvalidArgument(
-          StrFormat("CsfMttkrp: factor has %lld columns, expected rank %d",
-                    static_cast<long long>(f->cols()), rank));
-    }
-  }
-  if (rows == nullptr) {
-    return Status::InvalidArgument("CsfMttkrp: null output");
-  }
-
-  const int s = layout.num_streams;
-  const int64_t num_slices = layout.num_slices();
-  rows->assign(static_cast<size_t>(num_slices),
+  HATEN2_RETURN_IF_ERROR(
+      ValidateMttkrpArgs(layout, cfactors, rank, rows != nullptr));
+  rows->assign(static_cast<size_t>(layout.num_slices()),
                std::vector<double>(static_cast<size_t>(rank), 0.0));
-
-  double t[kRankBlock];
-  for (int r0 = 0; r0 < rank; r0 += kRankBlock) {
-    const int rb = std::min(kRankBlock, rank - r0);
-    for (int64_t si = 0; si < num_slices; ++si) {
-      double* row = (*rows)[static_cast<size_t>(si)].data() + r0;
-      const int64_t fb = layout.slice_fiber_begin[static_cast<size_t>(si)];
-      const int64_t fe = layout.slice_fiber_begin[static_cast<size_t>(si) + 1];
-      for (int64_t f = fb; f < fe; ++f) {
-        // Pass 1 (SpMV): inner product over the first contracted mode.
-        std::memset(t, 0, sizeof(double) * static_cast<size_t>(rb));
-        const int64_t eb = layout.fiber_entry_begin[static_cast<size_t>(f)];
-        const int64_t ee = layout.fiber_entry_begin[static_cast<size_t>(f) + 1];
-        for (int64_t e = eb; e < ee; ++e) {
-          const double v = layout.values[static_cast<size_t>(e)];
-          const double* a0 =
-              cfactors[0]->RowPtr(layout.entry_inner[static_cast<size_t>(e)]) +
-              r0;
-          for (int j = 0; j < rb; ++j) t[j] += v * a0[j];
-        }
-        // Pass 2: scale by the outer contracted factors, ascending mode
-        // order (matches the dataflow merge's product association).
-        const int64_t* oc =
-            layout.fiber_coords.data() + f * (s - 1);
-        for (int k = 1; k < s; ++k) {
-          const double* ak = cfactors[static_cast<size_t>(k)]->RowPtr(
-                                 oc[k - 1]) +
-                             r0;
-          for (int j = 0; j < rb; ++j) t[j] *= ak[j];
-        }
-        for (int j = 0; j < rb; ++j) row[j] += t[j];
-      }
-    }
-  }
+  MttkrpInto(layout, cfactors, rank, [rows](int64_t si) {
+    return (*rows)[static_cast<size_t>(si)].data();
+  });
   return Status::OK();
 }
 
 Status CsfCrossContract(const CsfLayout& layout,
                         const std::vector<const DenseMatrix*>& cfactors,
                         const std::vector<int64_t>& block_dims,
-                        std::vector<std::vector<double>>* rows) {
-  Status st = ValidateKernelArgs(layout, cfactors);
-  if (!st.ok()) return st;
+                        std::vector<double>* values) {
+  HATEN2_RETURN_IF_ERROR(ValidateKernelArgs(layout, cfactors));
   if (static_cast<int>(block_dims.size()) != layout.num_streams) {
     return Status::InvalidArgument(
         "CsfCrossContract: block_dims arity mismatch");
@@ -375,20 +402,19 @@ Status CsfCrossContract(const CsfLayout& layout,
     }
     block *= block_dims[k];
   }
-  if (rows == nullptr) {
+  if (values == nullptr) {
     return Status::InvalidArgument("CsfCrossContract: null output");
   }
 
   const int s = layout.num_streams;
   const int64_t num_slices = layout.num_slices();
   const int64_t r0dim = block_dims[0];
-  rows->assign(static_cast<size_t>(num_slices),
-               std::vector<double>(static_cast<size_t>(block), 0.0));
+  values->assign(static_cast<size_t>(num_slices * block), 0.0);
 
   std::vector<double> t(static_cast<size_t>(r0dim));
   std::vector<int64_t> q(static_cast<size_t>(s), 0);
   for (int64_t si = 0; si < num_slices; ++si) {
-    double* row = (*rows)[static_cast<size_t>(si)].data();
+    double* row = values->data() + si * block;
     const int64_t fb = layout.slice_fiber_begin[static_cast<size_t>(si)];
     const int64_t fe = layout.slice_fiber_begin[static_cast<size_t>(si) + 1];
     for (int64_t f = fb; f < fe; ++f) {

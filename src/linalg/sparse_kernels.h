@@ -67,10 +67,18 @@ Result<CsfLayout> BuildCsfLayout(const SparseTensor& x, int free_mode);
 ///   out[i][r] = sum over entries in slice i of
 ///               x(e) * prod_s cfactors[s](coord_s(e), r).
 /// `cfactors[s]` is the factor for mode `layout.cmodes[s]`; all must share
-/// `rank` columns. `rows` is resized to layout.num_slices(), each row of
-/// length `rank`, in `slice_ids` order. Evaluated as DFacTo's two passes:
-/// an inner SpMV over the first contracted mode per fiber, then outer
-/// scaling in ascending mode order — cache-blocked over rank.
+/// `rank` columns. `values` is resized to layout.num_slices() × `rank` and
+/// filled row-major, row k being slice `slice_ids[k]` — so the buffer is
+/// already in SliceBlocks' ascending row order. Evaluated as DFacTo's two
+/// passes: an inner SpMV over the first contracted mode per fiber, then
+/// outer scaling in ascending mode order — cache-blocked over rank.
+Status CsfMttkrp(const CsfLayout& layout,
+                 const std::vector<const DenseMatrix*>& cfactors, int rank,
+                 std::vector<double>* values);
+
+/// The same kernel writing one length-`rank` vector per stored slice
+/// (`rows` is resized to layout.num_slices(), in `slice_ids` order); the
+/// perfbench harness times this form.
 Status CsfMttkrp(const CsfLayout& layout,
                  const std::vector<const DenseMatrix*>& cfactors, int rank,
                  std::vector<std::vector<double>>* rows);
@@ -81,12 +89,12 @@ Status CsfMttkrp(const CsfLayout& layout,
 ///       x(e) * cfactors[0](i0, q0) * cfactors[1](i1, q1) * ...
 /// with stream 0 varying fastest (w1 = block_dims[0], Kolda ordering — the
 /// same weights the dataflow merge uses). `block_dims[s]` must equal
-/// `cfactors[s]->cols()`. `rows` is resized to layout.num_slices(), each row
-/// of length prod(block_dims).
+/// `cfactors[s]->cols()`. `values` is resized to layout.num_slices() ×
+/// prod(block_dims) and filled row-major in `slice_ids` order.
 Status CsfCrossContract(const CsfLayout& layout,
                         const std::vector<const DenseMatrix*>& cfactors,
                         const std::vector<int64_t>& block_dims,
-                        std::vector<std::vector<double>>* rows);
+                        std::vector<double>* values);
 
 /// Per-layout accounting of what PatchCsfLayout salvaged: clean slices
 /// whose segments were copied verbatim vs dirty slices rebuilt from the

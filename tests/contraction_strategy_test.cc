@@ -3,7 +3,9 @@
 // the dataflow and in-core paths on superdiagonal tensors, the v7 stats
 // surface (per-node strategy, incore/dataflow node counters), and the
 // ContractCache content-fingerprint regression (in-place tensor rebuilds
-// must invalidate, not alias).
+// must invalidate, not alias). Both strategies return SliceBlocks whose rows
+// are in ascending slice order by construction, so once the per-cell values
+// agree, every sum a driver forms over the rows agrees too.
 
 #include <gtest/gtest.h>
 
@@ -29,8 +31,8 @@ using ::haten2::testing::RandomSparseTensor;
 // Every fiber and slice of a superdiagonal tensor holds exactly one nonzero,
 // so the in-core kernels' accumulation-order contract guarantees
 // bit-identical contraction values to the dataflow merges (see
-// linalg/sparse_kernels.h). With SliceBlocks' canonical ascending row
-// insertion, every downstream float sum is then bit-identical too.
+// linalg/sparse_kernels.h). SliceBlocks keeps its rows in ascending slice
+// order, so every downstream float sum is then bit-identical too.
 SparseTensor SuperdiagonalTensor(int64_t n, int order, Rng* rng) {
   std::vector<int64_t> dims(static_cast<size_t>(order), n);
   Result<SparseTensor> r = SparseTensor::Create(dims);

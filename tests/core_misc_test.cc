@@ -4,13 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "core/contract.h"
 #include "linalg/linalg.h"
 #include "core/records.h"
 #include "core/variant.h"
 #include "mapreduce/stats.h"
+#include "tensor/tensor_ops.h"
 #include "test_util.h"
 
 namespace haten2 {
@@ -110,8 +113,11 @@ TEST(SliceBlocksType, DenseConversionAndGram) {
   blocks.free_dim = 4;
   blocks.block_dims = {2, 3};
   EXPECT_EQ(blocks.BlockSize(), 6);
-  blocks.rows[1] = {1, 0, 0, 0, 0, 0};
-  blocks.rows[3] = {0, 2, 0, 0, 0, 1};
+  blocks.slice_ids = {1, 3};
+  blocks.values = {1, 0, 0, 0, 0, 0,   // slice 1
+                   0, 2, 0, 0, 0, 1};  // slice 3
+  EXPECT_EQ(blocks.num_rows(), 2);
+  EXPECT_EQ(blocks.row(1), blocks.values.data() + 6);
   DenseMatrix dense = blocks.ToDenseMatrix();
   EXPECT_EQ(dense.rows(), 4);
   EXPECT_EQ(dense.cols(), 6);
@@ -168,6 +174,64 @@ TEST(SliceBlocksType, GramMatchesDenseOnRealContraction) {
   ASSERT_OK(y.status());
   DenseMatrix dense = y->ToDenseMatrix();
   EXPECT_LT(y->GramOfRows().MaxAbsDiff(Gram(dense)), 1e-10);
+}
+
+// Every producer emits rows in ascending slice order by construction: the
+// slice ids are the same strictly ascending list whichever strategy,
+// variant or merge produced the block.
+TEST(SliceBlocksType, AscendingRowsAcrossStrategiesAndVariants) {
+  Rng rng(4021);
+  // About five entries per free-mode slice, so every merge really sums.
+  SparseTensor x =
+      haten2::testing::RandomSparseTensor({12, 9, 8}, 60, &rng);
+  DenseMatrix a = DenseMatrix::RandomNormal(12, 3, &rng);
+  DenseMatrix b = DenseMatrix::RandomNormal(9, 3, &rng);
+  DenseMatrix c = DenseMatrix::RandomNormal(8, 3, &rng);
+  std::vector<const DenseMatrix*> factors = {&a, &b, &c};
+  Result<DenseMatrix> mttkrp = Mttkrp(x, factors, 0);
+  ASSERT_OK(mttkrp.status());
+
+  struct Run {
+    const char* strategy;
+    Variant variant;
+    MergeKind kind;
+  };
+  std::vector<Run> runs;
+  for (const char* strategy : {"dataflow", "incore"}) {
+    for (Variant v : kAllVariants) {
+      for (MergeKind kind : {MergeKind::kCross, MergeKind::kPairwise}) {
+        runs.push_back({strategy, v, kind});
+      }
+    }
+  }
+  runs.push_back({"dataflow", Variant::kDri, MergeKind::kSketchFused});
+
+  std::vector<int64_t> first_ids;
+  for (const Run& run : runs) {
+    SCOPED_TRACE(std::string(run.strategy) + " " +
+                 std::string(VariantName(run.variant)) + " kind " +
+                 std::to_string(static_cast<int>(run.kind)));
+    ClusterConfig config = ClusterConfig::ForTesting();
+    config.contraction = run.strategy;
+    Engine engine(config);
+    Result<SliceBlocks> y =
+        MultiModeContract(&engine, x, factors, 0, run.kind, run.variant);
+    ASSERT_OK(y.status());
+    ASSERT_GT(y->num_rows(), 0);
+    for (size_t k = 0; k < y->slice_ids.size(); ++k) {
+      EXPECT_LT(y->slice_ids[k], y->free_dim);
+      if (k > 0) {
+        EXPECT_LT(y->slice_ids[k - 1], y->slice_ids[k]);
+      }
+    }
+    if (first_ids.empty()) first_ids = y->slice_ids;
+    EXPECT_EQ(y->slice_ids, first_ids);
+    EXPECT_EQ(y->values.size(),
+              static_cast<size_t>(y->num_rows() * y->BlockSize()));
+    if (run.kind != MergeKind::kCross) {
+      EXPECT_LT(y->ToDenseMatrix().MaxAbsDiff(*mttkrp), 1e-10);
+    }
+  }
 }
 
 }  // namespace

@@ -93,7 +93,8 @@ TEST(SliceBlocksEmpty, AllZeroFactorsYieldEmptyRows) {
                                             MergeKind::kCross,
                                             Variant::kDri);
   ASSERT_OK(y.status());
-  EXPECT_TRUE(y->rows.empty());
+  EXPECT_EQ(y->num_rows(), 0);
+  EXPECT_TRUE(y->values.empty());
   DenseMatrix dense = y->ToDenseMatrix();
   EXPECT_DOUBLE_EQ(dense.FrobeniusNorm(), 0.0);
 }

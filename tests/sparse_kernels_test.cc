@@ -76,11 +76,11 @@ TEST(SparseKernelsLayout, EmptyTensorYieldsEmptyLayout) {
   // Kernels on an empty layout produce zero rows, not errors.
   DenseMatrix b(5, 3), c(6, 3);
   std::vector<const DenseMatrix*> cfactors = {&b, &c};
-  std::vector<std::vector<double>> rows;
-  ASSERT_OK(CsfMttkrp(*layout, cfactors, 3, &rows));
-  EXPECT_TRUE(rows.empty());
-  ASSERT_OK(CsfCrossContract(*layout, cfactors, {3, 3}, &rows));
-  EXPECT_TRUE(rows.empty());
+  std::vector<double> values;
+  ASSERT_OK(CsfMttkrp(*layout, cfactors, 3, &values));
+  EXPECT_TRUE(values.empty());
+  ASSERT_OK(CsfCrossContract(*layout, cfactors, {3, 3}, &values));
+  EXPECT_TRUE(values.empty());
 }
 
 TEST(SparseKernelsLayout, SingleNonzeroLayoutAndKernels) {
@@ -98,22 +98,21 @@ TEST(SparseKernelsLayout, SingleNonzeroLayoutAndKernels) {
   DenseMatrix b = DenseMatrix::RandomNormal(5, 2, &rng);
   DenseMatrix c = DenseMatrix::RandomNormal(6, 2, &rng);
   std::vector<const DenseMatrix*> cfactors = {&b, &c};
-  std::vector<std::vector<double>> rows;
-  ASSERT_OK(CsfMttkrp(*layout, cfactors, 2, &rows));
-  ASSERT_EQ(rows.size(), 1u);
+  std::vector<double> values;
+  ASSERT_OK(CsfMttkrp(*layout, cfactors, 2, &values));
+  ASSERT_EQ(values.size(), 2u);
   for (int r = 0; r < 2; ++r) {
     // A single nonzero must be *bit*-identical to the scalar product chain
     // in ascending contracted-mode order (the accumulation-order contract).
-    EXPECT_EQ(rows[0][static_cast<size_t>(r)], 2.5 * b(3, r) * c(4, r));
+    EXPECT_EQ(values[static_cast<size_t>(r)], 2.5 * b(3, r) * c(4, r));
   }
 
-  ASSERT_OK(CsfCrossContract(*layout, cfactors, {2, 2}, &rows));
-  ASSERT_EQ(rows.size(), 1u);
-  ASSERT_EQ(rows[0].size(), 4u);
+  ASSERT_OK(CsfCrossContract(*layout, cfactors, {2, 2}, &values));
+  ASSERT_EQ(values.size(), 4u);
   // Stream 0 varies fastest: offset = q0 + 2*q1.
   for (int q1 = 0; q1 < 2; ++q1) {
     for (int q0 = 0; q0 < 2; ++q0) {
-      EXPECT_EQ(rows[0][static_cast<size_t>(q0 + 2 * q1)],
+      EXPECT_EQ(values[static_cast<size_t>(q0 + 2 * q1)],
                 2.5 * b(3, q0) * c(4, q1));
     }
   }
@@ -136,10 +135,10 @@ TEST(SparseKernelsLayout, DuplicateCoordinatesShareOneFiberAndSum) {
     c(i, 0) = 1.0;
   }
   std::vector<const DenseMatrix*> cfactors = {&b, &c};
-  std::vector<std::vector<double>> rows;
-  ASSERT_OK(CsfMttkrp(*layout, cfactors, 1, &rows));
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(rows[0][0], 7.0);
+  std::vector<double> values;
+  ASSERT_OK(CsfMttkrp(*layout, cfactors, 1, &values));
+  ASSERT_EQ(values.size(), 1u);
+  EXPECT_DOUBLE_EQ(values[0], 7.0);
 }
 
 TEST(SparseKernelsLayout, ExtremeFreeDimensionStaysCompressed) {
@@ -161,13 +160,13 @@ TEST(SparseKernelsLayout, ExtremeFreeDimensionStaysCompressed) {
   DenseMatrix b = DenseMatrix::RandomNormal(3, 2, &rng);
   DenseMatrix c = DenseMatrix::RandomNormal(3, 2, &rng);
   std::vector<const DenseMatrix*> cfactors = {&b, &c};
-  std::vector<std::vector<double>> rows;
-  ASSERT_OK(CsfMttkrp(*layout, cfactors, 2, &rows));
-  ASSERT_EQ(rows.size(), 3u);
-  for (int r = 0; r < 2; ++r) {
-    EXPECT_EQ(rows[0][static_cast<size_t>(r)], 1.0 * b(1, r) * c(1, r));
-    EXPECT_EQ(rows[1][static_cast<size_t>(r)], 2.0 * b(0, r) * c(2, r));
-    EXPECT_EQ(rows[2][static_cast<size_t>(r)], 3.0 * b(2, r) * c(0, r));
+  std::vector<double> values;
+  ASSERT_OK(CsfMttkrp(*layout, cfactors, 2, &values));
+  ASSERT_EQ(values.size(), 6u);  // row-major, one row per stored slice
+  for (size_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(values[r], 1.0 * b(1, r) * c(1, r));
+    EXPECT_EQ(values[2 + r], 2.0 * b(0, r) * c(2, r));
+    EXPECT_EQ(values[4 + r], 3.0 * b(2, r) * c(0, r));
   }
 }
 
@@ -179,19 +178,24 @@ TEST(SparseKernelsLayout, RejectsBadArguments) {
   Result<CsfLayout> layout = BuildCsfLayout(x, 0);
   ASSERT_OK(layout.status());
   DenseMatrix b(3, 2), c(3, 2);
-  std::vector<std::vector<double>> rows;
+  std::vector<double> values;
   // Wrong factor count.
-  EXPECT_TRUE(CsfMttkrp(*layout, {&b}, 2, &rows).IsInvalidArgument());
+  EXPECT_TRUE(CsfMttkrp(*layout, {&b}, 2, &values).IsInvalidArgument());
   // Null factor.
   EXPECT_TRUE(
-      CsfMttkrp(*layout, {&b, nullptr}, 2, &rows).IsInvalidArgument());
+      CsfMttkrp(*layout, {&b, nullptr}, 2, &values).IsInvalidArgument());
   // Rank mismatch.
-  EXPECT_TRUE(CsfMttkrp(*layout, {&b, &c}, 3, &rows).IsInvalidArgument());
+  EXPECT_TRUE(CsfMttkrp(*layout, {&b, &c}, 3, &values).IsInvalidArgument());
   // Cross: block_dims disagreeing with factor columns.
-  EXPECT_TRUE(CsfCrossContract(*layout, {&b, &c}, {2, 3}, &rows)
+  EXPECT_TRUE(CsfCrossContract(*layout, {&b, &c}, {2, 3}, &values)
                   .IsInvalidArgument());
-  // Null output.
-  EXPECT_TRUE(CsfMttkrp(*layout, {&b, &c}, 2, nullptr).IsInvalidArgument());
+  // Null output, in either output form.
+  EXPECT_TRUE(CsfMttkrp(*layout, {&b, &c}, 2,
+                        static_cast<std::vector<double>*>(nullptr))
+                  .IsInvalidArgument());
+  EXPECT_TRUE(CsfMttkrp(*layout, {&b, &c}, 2,
+                        static_cast<std::vector<std::vector<double>>*>(nullptr))
+                  .IsInvalidArgument());
 }
 
 // Seeded property test: on random tensors of several orders and free modes,
@@ -235,15 +239,21 @@ TEST(SparseKernelsProperty, MttkrpMatchesReferenceOnRandomTensors) {
           if (m != free_mode) cfactors.push_back(&owned[static_cast<size_t>(m)]);
         }
 
-        std::vector<std::vector<double>> rows;
-        ASSERT_OK(CsfMttkrp(*layout, cfactors, rank, &rows));
-        ASSERT_EQ(rows.size(), static_cast<size_t>(layout->num_slices()));
+        std::vector<double> values;
+        ASSERT_OK(CsfMttkrp(*layout, cfactors, rank, &values));
+        const size_t slices = static_cast<size_t>(layout->num_slices());
+        ASSERT_EQ(values.size(), slices * rank);
         std::vector<std::vector<double>> want =
             NaiveMttkrp(x, *layout, cfactors, rank);
-        for (size_t si = 0; si < rows.size(); ++si) {
+        // The per-slice output form runs the same kernel: bit-identical.
+        std::vector<std::vector<double>> rows;
+        ASSERT_OK(CsfMttkrp(*layout, cfactors, rank, &rows));
+        ASSERT_EQ(rows.size(), slices);
+        for (size_t si = 0; si < slices; ++si) {
+          const double* row = values.data() + si * rank;
+          EXPECT_EQ(rows[si], std::vector<double>(row, row + rank));
           for (int r = 0; r < rank; ++r) {
-            EXPECT_NEAR(rows[si][static_cast<size_t>(r)],
-                        want[si][static_cast<size_t>(r)], kTol)
+            EXPECT_NEAR(row[r], want[si][static_cast<size_t>(r)], kTol)
                 << "slice " << si << " rank " << r << " free " << free_mode;
           }
         }
@@ -251,11 +261,10 @@ TEST(SparseKernelsProperty, MttkrpMatchesReferenceOnRandomTensors) {
         // Cross-check against the library MTTKRP (densified).
         Result<DenseMatrix> lib = Mttkrp(x, all_factors, free_mode);
         ASSERT_OK(lib.status());
-        for (size_t si = 0; si < rows.size(); ++si) {
+        for (size_t si = 0; si < slices; ++si) {
           int64_t slice = layout->slice_ids[si];
           for (int r = 0; r < rank; ++r) {
-            EXPECT_NEAR(rows[si][static_cast<size_t>(r)], (*lib)(slice, r),
-                        kTol);
+            EXPECT_NEAR(values[si * rank + r], (*lib)(slice, r), kTol);
           }
         }
       }
@@ -281,15 +290,16 @@ TEST(SparseKernelsProperty, CrossContractMatchesNaiveReference) {
     std::vector<const DenseMatrix*> cfactors;
     for (auto& f : owned) cfactors.push_back(&f);
 
-    std::vector<std::vector<double>> rows;
-    ASSERT_OK(CsfCrossContract(*layout, cfactors, block_dims, &rows));
-    ASSERT_EQ(rows.size(), static_cast<size_t>(layout->num_slices()));
+    std::vector<double> values;
+    ASSERT_OK(CsfCrossContract(*layout, cfactors, block_dims, &values));
+    const size_t block = static_cast<size_t>(block_dims[0] * block_dims[1]);
+    ASSERT_EQ(values.size(),
+              static_cast<size_t>(layout->num_slices()) * block);
 
     // Naive reference with Kolda offsets (stream 0 fastest).
     std::vector<std::vector<double>> want(
-        rows.size(),
-        std::vector<double>(
-            static_cast<size_t>(block_dims[0] * block_dims[1]), 0.0));
+        static_cast<size_t>(layout->num_slices()),
+        std::vector<double>(block, 0.0));
     for (int64_t e = 0; e < x.nnz(); ++e) {
       int64_t free_idx = x.index(e, free_mode);
       size_t si = 0;
@@ -303,10 +313,9 @@ TEST(SparseKernelsProperty, CrossContractMatchesNaiveReference) {
         }
       }
     }
-    for (size_t si = 0; si < rows.size(); ++si) {
-      ASSERT_EQ(rows[si].size(), want[si].size());
-      for (size_t j = 0; j < rows[si].size(); ++j) {
-        EXPECT_NEAR(rows[si][j], want[si][j], kTol);
+    for (size_t si = 0; si < want.size(); ++si) {
+      for (size_t j = 0; j < block; ++j) {
+        EXPECT_NEAR(values[si * block + j], want[si][j], kTol);
       }
     }
   }
