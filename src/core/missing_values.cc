@@ -127,37 +127,25 @@ Result<MissingValueModel> Haten2ParafacMissing(
       "parafac-em", options.base.variant, options.base.seed,
       options.em_tolerance, {rank, observed.nnz()}, x);
 
-  Rng rng(options.base.seed);
+  // The EM loop runs to em_iterations / em_tolerance; everything else
+  // (trace, cache, checkpoint, resume) comes from the base options.
+  Haten2Options run = options.base;
+  run.max_iterations = options.em_iterations;
+  run.tolerance = options.em_tolerance;
   MissingValueModel out;
-  int start_iteration = 0;
-  bool has_resume_metric = false;
-  double resume_metric = 0.0;
-  if (options.base.resume_from != nullptr) {
-    const LoadedCheckpoint& ckpt = *options.base.resume_from;
-    HATEN2_RETURN_IF_ERROR(ValidateCheckpointForResume(
-        ckpt.manifest, "parafac-em", "kruskal", fingerprint));
-    if (static_cast<int>(ckpt.kruskal.factors.size()) != order ||
-        ckpt.kruskal.rank() != rank) {
-      return Status::InvalidArgument(
-          "checkpoint model does not match the tensor order or rank");
-    }
-    for (int m = 0; m < order; ++m) {
-      if (ckpt.kruskal.factors[static_cast<size_t>(m)].rows() != x.dim(m)) {
-        return Status::InvalidArgument(
-            StrFormat("checkpoint factor %d rows do not match mode size", m));
-      }
-    }
-    out.model.lambda = ckpt.kruskal.lambda;
-    out.model.factors = ckpt.kruskal.factors;
-    out.observed_fit_history = ckpt.manifest.fit_history;
-    out.em_iterations = ckpt.manifest.iteration;
+  AlsHarness harness(engine, run,
+                     {.method = "parafac-em", .fingerprint = fingerprint},
+                     &out.model, &out.observed_fit_history);
+  HATEN2_ASSIGN_OR_RETURN(
+      bool resumed,
+      harness.Restore(x.dims(), std::vector<int64_t>(order, rank)));
+  if (resumed) {
+    out.em_iterations = out.model.iterations;
     if (!out.observed_fit_history.empty()) {
       out.observed_fit = out.observed_fit_history.back();
     }
-    start_iteration = ckpt.manifest.iteration;
-    has_resume_metric = true;
-    resume_metric = ckpt.manifest.metric;
   } else {
+    Rng rng(options.base.seed);
     out.model.lambda.assign(static_cast<size_t>(rank), 1.0);
     for (int m = 0; m < order; ++m) {
       out.model.factors.push_back(
@@ -165,33 +153,9 @@ Result<MissingValueModel> Haten2ParafacMissing(
     }
   }
 
-  AlsHarness::Options harness_options;
-  harness_options.max_iterations = options.em_iterations;
-  harness_options.tolerance = options.em_tolerance;
-  harness_options.trace = options.base.trace;
-  harness_options.start_iteration = start_iteration;
-  harness_options.has_resume_metric = has_resume_metric;
-  harness_options.resume_metric = resume_metric;
-  harness_options.external_cache = options.base.contract_cache;
-  std::optional<CheckpointWriter> checkpoint_writer;
-  if (options.base.checkpoint != nullptr) {
-    checkpoint_writer.emplace(*options.base.checkpoint);
-    harness_options.checkpoint_every =
-        options.base.checkpoint->every_n_iterations;
-    harness_options.checkpoint_fn = [&](int iteration, double prev_metric) {
-      CheckpointManifest m;
-      m.method = "parafac-em";
-      m.model_kind = "kruskal";
-      m.fingerprint = fingerprint;
-      m.iteration = iteration;
-      m.metric = prev_metric;
-      m.fit_history = out.observed_fit_history;
-      return checkpoint_writer->Write(m, &out.model, nullptr);
-    };
-  }
-  AlsHarness harness(engine, harness_options);
   Status loop_status = harness.Run(
-      [&](int em, AlsIterationOutcome* outcome) -> Status {
+      [&](int em, IterationStats* stats,
+          std::optional<double>* metric) -> Status {
     // E-step: freeze the model; residual D makes X̂ = M_old + D match x on
     // the mask and the model off it.
     KruskalModel frozen = out.model;
@@ -252,11 +216,10 @@ Result<MissingValueModel> Haten2ParafacMissing(
     HATEN2_ASSIGN_OR_RETURN(double fit, ObservedFit(x, observed, out.model));
     out.observed_fit = fit;
     out.observed_fit_history.push_back(fit);
-    outcome->has_fit = true;
-    outcome->fit = fit;
-    outcome->has_metric = true;
-    outcome->metric = fit;
-    outcome->lambda = out.model.lambda;
+    stats->has_fit = true;
+    stats->fit = fit;
+    *metric = fit;
+    stats->lambda = out.model.lambda;
     return Status::OK();
       });
   if (!loop_status.ok()) return loop_status;

@@ -80,71 +80,30 @@ double InnerProductWithModel(const SparseTensor& x, const DenseTensor& core,
 Result<TuckerModel> Haten2NonnegativeTuckerAls(
     Engine* engine, const SparseTensor& x, std::vector<int64_t> core_dims,
     const Haten2Options& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  if (x.order() < 2 || x.order() > kMaxMrOrder) {
-    return Status::InvalidArgument(
-        StrFormat("supported orders are 2..%d", kMaxMrOrder));
-  }
-  if (x.nnz() == 0) {
-    return Status::InvalidArgument("cannot decompose an all-zero tensor");
-  }
-  const int order = x.order();
-  if (static_cast<int>(core_dims.size()) != order) {
-    return Status::InvalidArgument("core_dims must have one entry per mode");
-  }
-  for (int m = 0; m < order; ++m) {
-    if (core_dims[static_cast<size_t>(m)] <= 0 ||
-        core_dims[static_cast<size_t>(m)] > x.dim(m)) {
-      return Status::InvalidArgument("core dimension out of range");
-    }
-  }
+  HATEN2_RETURN_IF_ERROR(
+      ValidateTuckerProblem(engine, x, core_dims, "nonnegative Tucker"));
   for (int64_t e = 0; e < x.nnz(); ++e) {
     if (x.value(e) < 0.0) {
       return Status::InvalidArgument(
           "nonnegative Tucker requires a nonnegative tensor");
     }
   }
-
+  const int order = x.order();
   const uint64_t fingerprint =
       CheckpointFingerprint("tucker-nn", options.variant, options.seed,
                             options.tolerance, core_dims, x);
 
-  Rng rng(options.seed);
   TuckerModel model;
-  int start_iteration = 0;
-  bool has_resume_metric = false;
-  double resume_metric = 0.0;
-  if (options.resume_from != nullptr) {
-    const LoadedCheckpoint& ckpt = *options.resume_from;
-    HATEN2_RETURN_IF_ERROR(ValidateCheckpointForResume(
-        ckpt.manifest, "tucker-nn", "tucker", fingerprint));
-    if (static_cast<int>(ckpt.tucker.factors.size()) != order ||
-        ckpt.tucker.core.dims() != core_dims) {
-      return Status::InvalidArgument(
-          "checkpoint model does not match the tensor order or core dims");
-    }
-    for (int m = 0; m < order; ++m) {
-      const DenseMatrix& f = ckpt.tucker.factors[static_cast<size_t>(m)];
-      if (f.rows() != x.dim(m) ||
-          f.cols() != core_dims[static_cast<size_t>(m)]) {
-        return Status::InvalidArgument(
-            StrFormat("checkpoint factor %d shape does not match", m));
-      }
-    }
-    // The multiplicative updates rescale the *core* as well as the factors,
-    // so resuming must restore both — factors alone would restart from a
-    // different point in the iterate sequence.
-    model.core = ckpt.tucker.core;
-    model.factors = ckpt.tucker.factors;
-    model.core_norm_history = ckpt.manifest.core_norm_history;
-    model.iterations = ckpt.manifest.iteration;
-    start_iteration = ckpt.manifest.iteration;
-    has_resume_metric = true;
-    resume_metric = ckpt.manifest.metric;
-    if (ckpt.manifest.metric >= 0.0) model.fit = ckpt.manifest.metric;
+  AlsHarness harness(engine, options,
+                     {.method = "tucker-nn", .fingerprint = fingerprint},
+                     &model, &model.core_norm_history);
+  HATEN2_ASSIGN_OR_RETURN(bool resumed, harness.Restore(x.dims(), core_dims));
+  if (resumed) {
+    // The NTF convergence metric is the fit itself.
+    const double metric = options.resume_from->manifest.metric;
+    if (metric >= 0.0) model.fit = metric;
   } else {
+    Rng rng(options.seed);
     HATEN2_ASSIGN_OR_RETURN(model.core, DenseTensor::Create(core_dims));
     for (double& g : model.core.data()) g = rng.Uniform(0.1, 1.0);
     model.factors.reserve(static_cast<size_t>(order));
@@ -159,32 +118,9 @@ Result<TuckerModel> Haten2NonnegativeTuckerAls(
   for (int m = 0; m < order; ++m) grams.push_back(Gram(model.factors[m]));
 
   const double x_sq = x.SumSquares();
-  AlsHarness::Options harness_options;
-  harness_options.max_iterations = options.max_iterations;
-  harness_options.tolerance = options.tolerance;
-  harness_options.trace = options.trace;
-  harness_options.start_iteration = start_iteration;
-  harness_options.has_resume_metric = has_resume_metric;
-  harness_options.resume_metric = resume_metric;
-  harness_options.external_cache = options.contract_cache;
-  std::optional<CheckpointWriter> checkpoint_writer;
-  if (options.checkpoint != nullptr) {
-    checkpoint_writer.emplace(*options.checkpoint);
-    harness_options.checkpoint_every = options.checkpoint->every_n_iterations;
-    harness_options.checkpoint_fn = [&](int iteration, double prev_metric) {
-      CheckpointManifest m;
-      m.method = "tucker-nn";
-      m.model_kind = "tucker";
-      m.fingerprint = fingerprint;
-      m.iteration = iteration;
-      m.metric = prev_metric;
-      m.core_norm_history = model.core_norm_history;
-      return checkpoint_writer->Write(m, nullptr, &model);
-    };
-  }
-  AlsHarness harness(engine, harness_options);
   Status loop_status = harness.Run(
-      [&](int iter, AlsIterationOutcome* outcome) -> Status {
+      [&](int iter, IterationStats* stats,
+          std::optional<double>* metric) -> Status {
     // ---- Factor updates ----
     for (int n = 0; n < order; ++n) {
       HATEN2_ASSIGN_OR_RETURN(
@@ -258,12 +194,11 @@ Result<TuckerModel> Haten2NonnegativeTuckerAls(
     double resid_sq = std::max(x_sq - 2.0 * inner + model_sq, 0.0);
     model.fit = 1.0 - std::sqrt(resid_sq / x_sq);
     model.core_norm_history.push_back(model.core.FrobeniusNorm());
-    outcome->has_fit = true;
-    outcome->fit = model.fit;
-    outcome->has_core_norm = true;
-    outcome->core_norm = model.core_norm_history.back();
-    outcome->has_metric = true;
-    outcome->metric = model.fit;
+    stats->has_fit = true;
+    stats->fit = model.fit;
+    stats->has_core_norm = true;
+    stats->core_norm = model.core_norm_history.back();
+    *metric = model.fit;
     return Status::OK();
       });
   if (!loop_status.ok()) return loop_status;

@@ -16,25 +16,6 @@ namespace {
 
 constexpr double kNonnegativeEps = 1e-12;
 
-/// Shared by the warm-start and checkpoint-resume paths: the given model
-/// must fit the tensor's order, the requested rank, and every mode size.
-Status CheckKruskalShape(const KruskalModel& init, const SparseTensor& x,
-                         int64_t rank, const char* what) {
-  const int order = x.order();
-  if (static_cast<int>(init.factors.size()) != order || init.rank() != rank ||
-      static_cast<int64_t>(init.lambda.size()) != rank) {
-    return Status::InvalidArgument(
-        std::string(what) + " model does not match the tensor order or rank");
-  }
-  for (int m = 0; m < order; ++m) {
-    if (init.factors[static_cast<size_t>(m)].rows() != x.dim(m)) {
-      return Status::InvalidArgument(StrFormat(
-          "%s factor %d rows do not match mode size", what, m));
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<KruskalModel> Haten2ParafacAls(Engine* engine, const SparseTensor& x,
@@ -56,40 +37,29 @@ Result<KruskalModel> Haten2ParafacAls(Engine* engine, const SparseTensor& x,
   }
   const int order = x.order();
 
-  const std::string ckpt_method =
-      options.nonnegative ? "parafac-nn" : "parafac";
-  const uint64_t fingerprint =
-      CheckpointFingerprint(ckpt_method, options.variant, options.seed,
-                            options.tolerance, {rank}, x);
+  const std::string method = options.nonnegative ? "parafac-nn" : "parafac";
+  const uint64_t fingerprint = CheckpointFingerprint(
+      method, options.variant, options.seed, options.tolerance, {rank}, x);
 
-  Rng rng(options.seed);
   KruskalModel model;
-  int start_iteration = 0;
-  bool has_resume_metric = false;
-  double resume_metric = 0.0;
-  if (options.resume_from != nullptr) {
-    const LoadedCheckpoint& ckpt = *options.resume_from;
-    HATEN2_RETURN_IF_ERROR(ValidateCheckpointForResume(
-        ckpt.manifest, ckpt_method, "kruskal", fingerprint));
-    HATEN2_RETURN_IF_ERROR(
-        CheckKruskalShape(ckpt.kruskal, x, rank, "checkpoint"));
-    model.lambda = ckpt.kruskal.lambda;
-    model.factors = ckpt.kruskal.factors;
-    // Continue — not restart — the histories and iteration numbering, so a
-    // resumed trace appends after the checkpointed entries instead of
-    // duplicating them.
-    model.fit_history = ckpt.manifest.fit_history;
-    model.iterations = ckpt.manifest.iteration;
+  AlsHarness harness(engine, options,
+                     {.method = method, .fingerprint = fingerprint}, &model,
+                     &model.fit_history);
+  const std::vector<int64_t> cols(static_cast<size_t>(order), rank);
+  HATEN2_ASSIGN_OR_RETURN(bool resumed, harness.Restore(x.dims(), cols));
+  if (resumed) {
     if (!model.fit_history.empty()) model.fit = model.fit_history.back();
-    start_iteration = ckpt.manifest.iteration;
-    has_resume_metric = true;
-    resume_metric = ckpt.manifest.metric;
   } else if (options.initial_kruskal != nullptr) {
     const KruskalModel& init = *options.initial_kruskal;
-    HATEN2_RETURN_IF_ERROR(CheckKruskalShape(init, x, rank, "warm-start"));
+    HATEN2_RETURN_IF_ERROR(
+        CheckFactorShapes(init.factors, x.dims(), cols, "warm-start"));
+    if (static_cast<int64_t>(init.lambda.size()) != rank) {
+      return Status::InvalidArgument("warm-start lambda does not match rank");
+    }
     model.lambda = init.lambda;
     model.factors = init.factors;
   } else {
+    Rng rng(options.seed);
     model.lambda.assign(static_cast<size_t>(rank), 1.0);
     model.factors.reserve(static_cast<size_t>(order));
     for (int m = 0; m < order; ++m) {
@@ -102,32 +72,9 @@ Result<KruskalModel> Haten2ParafacAls(Engine* engine, const SparseTensor& x,
   grams.reserve(static_cast<size_t>(order));
   for (int m = 0; m < order; ++m) grams.push_back(Gram(model.factors[m]));
 
-  AlsHarness::Options harness_options;
-  harness_options.max_iterations = options.max_iterations;
-  harness_options.tolerance = options.tolerance;
-  harness_options.trace = options.trace;
-  harness_options.start_iteration = start_iteration;
-  harness_options.has_resume_metric = has_resume_metric;
-  harness_options.resume_metric = resume_metric;
-  harness_options.external_cache = options.contract_cache;
-  std::optional<CheckpointWriter> checkpoint_writer;
-  if (options.checkpoint != nullptr) {
-    checkpoint_writer.emplace(*options.checkpoint);
-    harness_options.checkpoint_every = options.checkpoint->every_n_iterations;
-    harness_options.checkpoint_fn = [&](int iteration, double prev_metric) {
-      CheckpointManifest m;
-      m.method = ckpt_method;
-      m.model_kind = "kruskal";
-      m.fingerprint = fingerprint;
-      m.iteration = iteration;
-      m.metric = prev_metric;
-      m.fit_history = model.fit_history;
-      return checkpoint_writer->Write(m, &model, nullptr);
-    };
-  }
-  AlsHarness harness(engine, harness_options);
   Status loop_status = harness.Run(
-      [&](int iter, AlsIterationOutcome* outcome) -> Status {
+      [&](int iter, IterationStats* stats,
+          std::optional<double>* metric) -> Status {
       for (int n = 0; n < order; ++n) {
         HATEN2_ASSIGN_OR_RETURN(
             SliceBlocks y,
@@ -177,12 +124,11 @@ Result<KruskalModel> Haten2ParafacAls(Engine* engine, const SparseTensor& x,
         HATEN2_ASSIGN_OR_RETURN(double fit, KruskalFit(x, model));
         model.fit = fit;
         model.fit_history.push_back(fit);
-        outcome->has_fit = true;
-        outcome->fit = fit;
-        outcome->has_metric = true;
-        outcome->metric = fit;
+        stats->has_fit = true;
+        stats->fit = fit;
+        *metric = fit;
       }
-      outcome->lambda = model.lambda;
+      stats->lambda = model.lambda;
       return Status::OK();
       });
   if (!loop_status.ok()) return loop_status;

@@ -34,11 +34,11 @@ struct Haten2Options {
   /// Compute the fit after every iteration (costs one O(nnz·R) pass).
   bool compute_fit = true;
 
-  /// Optional warm starts (checkpoint/resume): when non-null, the matching
-  /// driver initializes from this model instead of randomly. The model must
-  /// match the tensor's shape and the requested rank/core size. Resuming a
-  /// run from its own checkpoint continues the exact same iterate sequence
-  /// (ALS state is fully captured by the factors). Not owned.
+  /// Optional warm starts: when non-null, the matching driver begins a
+  /// fresh run (iteration 1, empty histories) from this model instead of
+  /// randomly. The model must match the tensor's shape and the requested
+  /// rank/core size; Tucker factors are re-orthonormalized. To continue an
+  /// interrupted run exactly, use `resume_from` below instead. Not owned.
   const KruskalModel* initial_kruskal = nullptr;
   const TuckerModel* initial_tucker = nullptr;
 

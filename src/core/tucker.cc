@@ -113,25 +113,23 @@ Result<DenseTensor> TuckerCoreFromBlocks(const SliceBlocks& last_y,
   return DenseTensor::Fold(core_unfolded, last_mode, core_dims);
 }
 
-Result<TuckerModel> Haten2TuckerAls(Engine* engine, const SparseTensor& x,
-                                    std::vector<int64_t> core_dims,
-                                    const Haten2Options& options) {
+Status ValidateTuckerProblem(const Engine* engine, const SparseTensor& x,
+                             const std::vector<int64_t>& core_dims,
+                             const char* driver) {
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must not be null");
   }
   if (x.order() < 2 || x.order() > kMaxMrOrder) {
-    return Status::InvalidArgument(
-        StrFormat("HaTen2-Tucker supports orders 2..%d, got %d", kMaxMrOrder,
-                  x.order()));
+    return Status::InvalidArgument(StrFormat(
+        "%s supports orders 2..%d, got %d", driver, kMaxMrOrder, x.order()));
   }
   if (x.nnz() == 0) {
     return Status::InvalidArgument("cannot decompose an all-zero tensor");
   }
-  const int order = x.order();
-  if (static_cast<int>(core_dims.size()) != order) {
+  if (static_cast<int>(core_dims.size()) != x.order()) {
     return Status::InvalidArgument("core_dims must have one entry per mode");
   }
-  for (int m = 0; m < order; ++m) {
+  for (int m = 0; m < x.order(); ++m) {
     if (core_dims[static_cast<size_t>(m)] <= 0 ||
         core_dims[static_cast<size_t>(m)] > x.dim(m)) {
       return Status::InvalidArgument(StrFormat(
@@ -140,102 +138,64 @@ Result<TuckerModel> Haten2TuckerAls(Engine* engine, const SparseTensor& x,
           (long long)x.dim(m)));
     }
   }
+  return Status::OK();
+}
 
-  const uint64_t fingerprint =
-      CheckpointFingerprint("tucker", options.variant, options.seed,
-                            options.tolerance, core_dims, x);
-
-  Rng rng(options.seed);
-  TuckerModel model;
-  int start_iteration = 0;
-  bool has_resume_metric = false;
-  double resume_metric = 0.0;
-  if (options.resume_from != nullptr) {
-    const LoadedCheckpoint& ckpt = *options.resume_from;
-    HATEN2_RETURN_IF_ERROR(ValidateCheckpointForResume(
-        ckpt.manifest, "tucker", "tucker", fingerprint));
-    if (static_cast<int>(ckpt.tucker.factors.size()) != order) {
-      return Status::InvalidArgument(
-          "checkpoint model does not match the tensor order");
-    }
-    for (int m = 0; m < order; ++m) {
-      const DenseMatrix& f = ckpt.tucker.factors[static_cast<size_t>(m)];
-      if (f.rows() != x.dim(m) ||
-          f.cols() != core_dims[static_cast<size_t>(m)]) {
-        return Status::InvalidArgument(
-            StrFormat("checkpoint factor %d shape does not match", m));
-      }
-    }
-    // Restore the factors verbatim — no defensive QR here. The checkpoint's
-    // text format round-trips doubles exactly, and re-orthonormalizing
-    // already-orthonormal factors would perturb them in the last ulp,
-    // breaking the resumed run's bit-identity with the uninterrupted one.
-    model.factors = ckpt.tucker.factors;
-    model.core = ckpt.tucker.core;
-    model.core_norm_history = ckpt.manifest.core_norm_history;
-    model.iterations = ckpt.manifest.iteration;
-    start_iteration = ckpt.manifest.iteration;
-    has_resume_metric = true;
-    resume_metric = ckpt.manifest.metric;
-  } else if (options.initial_tucker != nullptr) {
-    const TuckerModel& init = *options.initial_tucker;
-    if (static_cast<int>(init.factors.size()) != order) {
-      return Status::InvalidArgument(
-          "warm-start model does not match the tensor order");
-    }
-    model.factors.reserve(static_cast<size_t>(order));
-    for (int m = 0; m < order; ++m) {
-      const DenseMatrix& f = init.factors[static_cast<size_t>(m)];
-      if (f.rows() != x.dim(m) ||
-          f.cols() != core_dims[static_cast<size_t>(m)]) {
-        return Status::InvalidArgument(StrFormat(
-            "warm-start factor %d shape does not match", m));
-      }
+Status InitTuckerFactors(const SparseTensor& x,
+                         const std::vector<int64_t>& core_dims,
+                         const Haten2Options& options,
+                         std::vector<DenseMatrix>* factors) {
+  const int order = x.order();
+  factors->reserve(static_cast<size_t>(order));
+  if (options.initial_tucker != nullptr) {
+    const std::vector<DenseMatrix>& init = options.initial_tucker->factors;
+    HATEN2_RETURN_IF_ERROR(
+        CheckFactorShapes(init, x.dims(), core_dims, "warm-start"));
+    for (const DenseMatrix& f : init) {
       // Re-orthonormalize defensively: checkpoints round-trip exactly, but
       // hand-built warm starts may not have orthonormal columns, which the
       // ||G||-based fit requires.
       HATEN2_ASSIGN_OR_RETURN(QrResult qr, QrDecompose(f));
-      model.factors.push_back(std::move(qr.q));
+      factors->push_back(std::move(qr.q));
     }
-  } else {
-    model.factors.reserve(static_cast<size_t>(order));
-    for (int m = 0; m < order; ++m) {
-      DenseMatrix random = DenseMatrix::RandomNormal(
-          x.dim(m), core_dims[static_cast<size_t>(m)], &rng);
-      HATEN2_ASSIGN_OR_RETURN(QrResult qr, QrDecompose(random));
-      model.factors.push_back(std::move(qr.q));
-    }
+    return Status::OK();
+  }
+  Rng rng(options.seed);
+  for (int m = 0; m < order; ++m) {
+    DenseMatrix random = DenseMatrix::RandomNormal(
+        x.dim(m), core_dims[static_cast<size_t>(m)], &rng);
+    HATEN2_ASSIGN_OR_RETURN(QrResult qr, QrDecompose(random));
+    factors->push_back(std::move(qr.q));
+  }
+  return Status::OK();
+}
+
+Result<TuckerModel> Haten2TuckerAls(Engine* engine, const SparseTensor& x,
+                                    std::vector<int64_t> core_dims,
+                                    const Haten2Options& options) {
+  HATEN2_RETURN_IF_ERROR(
+      ValidateTuckerProblem(engine, x, core_dims, "HaTen2-Tucker"));
+  const int order = x.order();
+  const uint64_t fingerprint =
+      CheckpointFingerprint("tucker", options.variant, options.seed,
+                            options.tolerance, core_dims, x);
+
+  TuckerModel model;
+  AlsHarness harness(engine, options,
+                     {.method = "tucker",
+                      .fingerprint = fingerprint,
+                      .tolerance_scale = x.FrobeniusNorm(),
+                      .converge_on_equal = true},
+                     &model, &model.core_norm_history);
+  HATEN2_ASSIGN_OR_RETURN(bool resumed, harness.Restore(x.dims(), core_dims));
+  if (!resumed) {
+    HATEN2_RETURN_IF_ERROR(
+        InitTuckerFactors(x, core_dims, options, &model.factors));
   }
 
-  const double x_norm = x.FrobeniusNorm();
-  AlsHarness::Options harness_options;
-  harness_options.max_iterations = options.max_iterations;
-  harness_options.tolerance = options.tolerance;
-  harness_options.tolerance_scale = x_norm;
-  harness_options.converge_on_equal = true;
-  harness_options.trace = options.trace;
-  harness_options.start_iteration = start_iteration;
-  harness_options.has_resume_metric = has_resume_metric;
-  harness_options.resume_metric = resume_metric;
-  harness_options.external_cache = options.contract_cache;
-  std::optional<CheckpointWriter> checkpoint_writer;
-  if (options.checkpoint != nullptr) {
-    checkpoint_writer.emplace(*options.checkpoint);
-    harness_options.checkpoint_every = options.checkpoint->every_n_iterations;
-    harness_options.checkpoint_fn = [&](int iteration, double prev_metric) {
-      CheckpointManifest m;
-      m.method = "tucker";
-      m.model_kind = "tucker";
-      m.fingerprint = fingerprint;
-      m.iteration = iteration;
-      m.metric = prev_metric;
-      m.core_norm_history = model.core_norm_history;
-      return checkpoint_writer->Write(m, nullptr, &model);
-    };
-  }
-  AlsHarness harness(engine, harness_options);
   Status loop_status = harness.Run(
-      [&](int iter, AlsIterationOutcome* outcome) -> Status {
+      [&](int iter, IterationStats* stats,
+          std::optional<double>* metric) -> Status {
       SliceBlocks last_y;
       for (int n = 0; n < order; ++n) {
         HATEN2_ASSIGN_OR_RETURN(
@@ -260,10 +220,9 @@ Result<TuckerModel> Haten2TuckerAls(Engine* engine, const SparseTensor& x,
       model.iterations = iter;
       const double core_norm = model.core.FrobeniusNorm();
       model.core_norm_history.push_back(core_norm);
-      outcome->has_core_norm = true;
-      outcome->core_norm = core_norm;
-      outcome->has_metric = true;
-      outcome->metric = core_norm;
+      stats->has_core_norm = true;
+      stats->core_norm = core_norm;
+      *metric = core_norm;
       return Status::OK();
       });
   if (!loop_status.ok()) return loop_status;

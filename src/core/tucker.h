@@ -27,6 +27,24 @@ Result<TuckerModel> Haten2TuckerAls(Engine* engine, const SparseTensor& x,
                                     std::vector<int64_t> core_dims,
                                     const Haten2Options& options = {});
 
+/// \brief Input validation shared by the Tucker-family drivers: a non-null
+/// engine, a nonempty tensor of order 2..kMaxMrOrder, and one core
+/// dimension per mode in 1..I_m. `driver` names the caller in the error.
+Status ValidateTuckerProblem(const Engine* engine, const SparseTensor& x,
+                             const std::vector<int64_t>& core_dims,
+                             const char* driver);
+
+/// \brief Fresh-run factor initialization shared by the exact and sketched
+/// drivers: options.initial_tucker's factors re-orthonormalized by QR when
+/// set, else seeded Gaussian I_m x J_m draws QR'd to orthonormal columns.
+/// One code path means the two drivers start from identical factors at a
+/// fixed seed, which is what makes the fig1 fit-vs-speed ablation a
+/// controlled comparison. Appends one factor per mode to `factors`.
+Status InitTuckerFactors(const SparseTensor& x,
+                         const std::vector<int64_t>& core_dims,
+                         const Haten2Options& options,
+                         std::vector<DenseMatrix>* factors);
+
 /// \brief The HOOI per-mode factor update shared by the exact and sketched
 /// drivers: `count` leading left singular vectors of the implicit matrix
 /// whose rows are y's slice blocks, via the eigendecomposition of the small

@@ -1,6 +1,8 @@
 // Fault-tolerance tests: atomic iteration checkpoints (manifest round trip,
 // corruption rejection, keep-last-K retention), kill-and-resume bit-identity
-// for all four ALS drivers, and plan-level retry/backoff in the scheduler.
+// for the ALS drivers, the shared checkpoint protocol (commit schedule,
+// manifest identity, resume shape gate) across all six drivers, and
+// plan-level retry/backoff in the scheduler.
 
 #include "core/checkpoint.h"
 
@@ -8,12 +10,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/missing_values.h"
 #include "core/nonnegative_tucker.h"
 #include "core/parafac.h"
+#include "core/sketched_tucker.h"
 #include "core/tucker.h"
 #include "mapreduce/cost_model.h"
 #include "mapreduce/plan.h"
@@ -553,6 +557,172 @@ TEST(CheckpointResume, ResumeRefusesForeignCheckpoint) {
   EXPECT_TRUE(Haten2TuckerAls(&engine, x, {2, 2, 2}, wrong_method)
                   .status()
                   .IsFailedPrecondition());
+}
+
+// ---------------------------------------------------------------------------
+// One protocol, every driver: checkpoint writes and the resume gate live in
+// AlsHarness, so a single table drives all six ALS drivers through them.
+// ---------------------------------------------------------------------------
+
+/// What the protocol tables share: one small positive tensor (valid input
+/// for every driver, nonnegative Tucker included), a mask observing exactly
+/// its nonzeros (for EM), and the two engines (sketched Tucker needs
+/// ClusterConfig::tucker_sketch set).
+struct ProtocolFixture {
+  ProtocolFixture() {
+    Rng rng(920);
+    x = RandomSparseTensor({10, 9, 8}, 100, &rng);
+    Result<SparseTensor> m = SparseTensor::Create(x.dims());
+    HATEN2_CHECK(m.ok()) << m.status().ToString();
+    mask = std::move(m).value();
+    for (int64_t e = 0; e < x.nnz(); ++e) {
+      mask.AppendUnchecked(x.IndexPtr(e), 1.0);
+    }
+    mask.Canonicalize();
+  }
+
+  static ClusterConfig SketchedConfig() {
+    ClusterConfig config = ClusterConfig::ForTesting();
+    config.tucker_sketch = "gaussian";
+    return config;
+  }
+
+  SparseTensor x;
+  SparseTensor mask;
+  Engine engine{ClusterConfig::ForTesting()};
+  Engine sketch_engine{SketchedConfig()};
+};
+
+/// One ALS driver as the checkpoint protocol sees it: the manifest identity
+/// it must write, and a run under the given options (EM takes its iteration
+/// budget and tolerance from max_iterations and tolerance).
+struct ProtocolCase {
+  std::string method;
+  std::string model_kind;
+  std::function<Status(Haten2Options options)> run;
+};
+
+std::vector<ProtocolCase> ProtocolCases(ProtocolFixture* f) {
+  const std::vector<int64_t> core = {2, 2, 2};
+  return {
+      {"parafac", "kruskal",
+       [f](Haten2Options options) {
+         return Haten2ParafacAls(&f->engine, f->x, 2, options).status();
+       }},
+      {"parafac-nn", "kruskal",
+       [f](Haten2Options options) {
+         options.nonnegative = true;
+         return Haten2ParafacAls(&f->engine, f->x, 2, options).status();
+       }},
+      {"tucker", "tucker",
+       [f, core](Haten2Options options) {
+         return Haten2TuckerAls(&f->engine, f->x, core, options).status();
+       }},
+      {"tucker-nn", "tucker",
+       [f, core](Haten2Options options) {
+         return Haten2NonnegativeTuckerAls(&f->engine, f->x, core, options)
+             .status();
+       }},
+      {"sketched-tucker", "tucker",
+       [f, core](Haten2Options options) {
+         return Haten2SketchedTuckerAls(&f->sketch_engine, f->x, core,
+                                        options)
+             .status();
+       }},
+      {"parafac-em", "kruskal",
+       [f](Haten2Options options) {
+         MissingValueOptions em;
+         em.base = options;
+         em.em_iterations = options.max_iterations;
+         em.em_tolerance = options.tolerance;
+         return Haten2ParafacMissing(&f->engine, f->x, f->mask, 2, em)
+             .status();
+       }},
+  };
+}
+
+TEST(CheckpointProtocol, EveryDriverCommitsAllButTheLastIteration) {
+  ProtocolFixture fixture;
+  for (const ProtocolCase& driver : ProtocolCases(&fixture)) {
+    SCOPED_TRACE(driver.method);
+    CheckpointOptions ckpt;
+    ckpt.directory = FreshDir("protocol_commits_" + driver.method);
+    ckpt.every_n_iterations = 1;
+    ckpt.keep_last = 10;
+    Haten2Options options;
+    options.max_iterations = 3;
+    options.tolerance = 0.0;
+    options.checkpoint = &ckpt;
+    ASSERT_OK(driver.run(options));
+
+    // The last iteration is never checkpointed: the run returns its model.
+    Result<std::vector<std::string>> dirs = ListCheckpoints(ckpt.directory);
+    ASSERT_OK(dirs.status());
+    ASSERT_EQ(dirs->size(), 2u);
+    for (int iteration = 1; iteration <= 2; ++iteration) {
+      const std::string& dir = (*dirs)[static_cast<size_t>(iteration - 1)];
+      EXPECT_EQ(fs::path(dir).filename().string(),
+                CheckpointDirName(iteration));
+      Result<CheckpointManifest> manifest = ReadCheckpointManifest(dir);
+      ASSERT_OK(manifest.status());
+      EXPECT_EQ(manifest->method, driver.method);
+      EXPECT_EQ(manifest->model_kind, driver.model_kind);
+      EXPECT_EQ(manifest->iteration, iteration);
+      const bool kruskal = driver.model_kind == "kruskal";
+      const std::vector<double>& history = kruskal
+                                               ? manifest->fit_history
+                                               : manifest->core_norm_history;
+      const std::vector<double>& other = kruskal
+                                             ? manifest->core_norm_history
+                                             : manifest->fit_history;
+      EXPECT_EQ(history.size(), static_cast<size_t>(iteration));
+      EXPECT_TRUE(other.empty());
+    }
+  }
+}
+
+TEST(CheckpointProtocol, EveryDriverRefusesAMisshapenCheckpoint) {
+  ProtocolFixture fixture;
+  for (const ProtocolCase& driver : ProtocolCases(&fixture)) {
+    SCOPED_TRACE(driver.method);
+    CheckpointOptions ckpt;
+    ckpt.directory = FreshDir("protocol_shape_" + driver.method);
+    ckpt.every_n_iterations = 2;
+    Haten2Options options;
+    options.max_iterations = 3;
+    options.tolerance = 0.0;
+    options.checkpoint = &ckpt;
+    ASSERT_OK(driver.run(options));
+    Result<LoadedCheckpoint> loaded = LoadLatestCheckpoint(ckpt.directory);
+    ASSERT_OK(loaded.status());
+
+    // The genuine checkpoint resumes and runs the remaining iterations.
+    DecompositionTrace trace;
+    Haten2Options resume = options;
+    resume.max_iterations = 4;
+    resume.checkpoint = nullptr;
+    resume.resume_from = &loaded.value();
+    resume.trace = &trace;
+    ASSERT_OK(driver.run(resume));
+    EXPECT_EQ(trace.iterations.size(), 2u);
+
+    // Drop the last column of the mode-1 factor: the manifest (method,
+    // fingerprint) still matches, so only the shape gate can catch it —
+    // before any iteration runs.
+    std::vector<DenseMatrix>& factors = driver.model_kind == "kruskal"
+                                            ? loaded->kruskal.factors
+                                            : loaded->tucker.factors;
+    const DenseMatrix& full = factors[1];
+    DenseMatrix narrow(full.rows(), full.cols() - 1);
+    for (int64_t i = 0; i < narrow.rows(); ++i) {
+      for (int64_t c = 0; c < narrow.cols(); ++c) narrow(i, c) = full(i, c);
+    }
+    factors[1] = std::move(narrow);
+    trace.Clear();
+    Status refused = driver.run(resume);
+    EXPECT_TRUE(refused.IsInvalidArgument()) << refused.ToString();
+    EXPECT_TRUE(trace.iterations.empty());
+  }
 }
 
 // ---------------------------------------------------------------------------
