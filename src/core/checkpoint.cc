@@ -8,8 +8,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "mapreduce/hash.h"
 #include "tensor/model_io.h"
+#include "util/hash.h"
 #include "util/json_writer.h"  // WriteTextFile
 #include "util/string_util.h"
 

@@ -23,13 +23,12 @@ std::vector<TensorRecord> TensorToRecords(const SparseTensor& x) {
 }
 
 bool ContractCache::MatchesOrReset(const SparseTensor& x) {
-  const uint64_t fp = TensorFingerprint(x);
-  if (has_key_ && fp == fingerprint_) return true;
-  // New (or rebuilt-in-place) tensor: every cached form is stale.
+  const uint64_t version = x.content_version();
+  if (version != 0 && version == version_) return true;
+  // New (or changed-in-place) tensor: every cached form is stale.
   records_.reset();
   for (auto& slot : layouts_) slot.reset();
-  has_key_ = true;
-  fingerprint_ = fp;
+  version_ = version;
   return false;
 }
 
@@ -62,10 +61,10 @@ Status ContractCache::ApplyDelta(const SparseTensor& new_x,
   }
   ++delta_patches_;
   records_.reset();
-  if (!has_key_) {
+  if (version_ == 0) {
+    // Keyed to nothing, or to an unstamped tensor: nothing to patch from.
     for (auto& slot : layouts_) slot.reset();
-    has_key_ = true;
-    fingerprint_ = TensorFingerprint(new_x);
+    version_ = new_x.content_version();
     return Status::OK();
   }
   const int order = new_x.order();
@@ -95,7 +94,7 @@ Status ContractCache::ApplyDelta(const SparseTensor& new_x,
     layout_slices_reused_ += pc.slices_reused;
     layout_slices_rebuilt_ += pc.slices_rebuilt;
   }
-  fingerprint_ = TensorFingerprint(new_x);
+  version_ = new_x.content_version();
   return Status::OK();
 }
 
@@ -170,13 +169,17 @@ Result<SliceBlocks> MultiModeContract(
     return Status::InvalidArgument("need one factor slot per mode");
   }
 
+  // A caller without a per-decomposition cache gets a call-local one, so
+  // the strategies have one path: their derived forms are built, counted as
+  // misses, and dropped with it.
+  ContractCache call_cache;
   ContractionContext ctx;
   ctx.engine = engine;
   ctx.x = &x;
   ctx.free_mode = free_mode;
   ctx.kind = kind;
   ctx.variant = variant;
-  ctx.cache = cache;
+  ctx.cache = cache != nullptr ? cache : &call_cache;
   for (int m = 0; m < x.order(); ++m) {
     if (m == free_mode) continue;
     const DenseMatrix* f = factors[static_cast<size_t>(m)];

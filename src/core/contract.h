@@ -32,15 +32,20 @@ std::vector<TensorRecord> TensorToRecords(const SparseTensor& x);
 /// accounted in the engine's pipeline log (invariant_cache_hits / misses);
 /// layout lookups in the local layout_hits() / layout_misses() counters.
 ///
-/// The cache keys on a full-content fingerprint of the tensor (shape, nnz,
-/// every coordinate and value bit — see TensorFingerprint), not on its
-/// address: a tensor rebuilt in place with different contents invalidates
-/// every cached form instead of aliasing stale data. Tensors that genuinely
-/// change every evaluation — e.g. the EM residual in missing_values.cc —
-/// should still bypass the cache (pass nullptr to MultiModeContract): the
-/// fingerprint makes them correct but each call would pay a rebuild anyway.
-/// Not thread-safe; call from the driver thread during plan construction,
-/// never from inside plan nodes.
+/// The cache keys on the tensor's content version
+/// (SparseTensor::content_version()), not on its address: every content
+/// change restamps the tensor, so a tensor rebuilt in place misses instead
+/// of aliasing stale data, and a hit costs one integer comparison instead
+/// of a pass over the tensor. Copies share their source's version and hit;
+/// an unstamped tensor (appends pending) never hits. Tensors that
+/// genuinely change every evaluation — e.g. the EM residual in
+/// missing_values.cc — bypass it (pass nullptr to MultiModeContract): they
+/// would miss and rebuild anyway.
+///
+/// Not synchronized: drivers contract one mode at a time, so one thread at
+/// a time touches the cache — the driver directly (Records), or the in-core
+/// plan's single node (Layout), which runs while the driver waits on the
+/// plan.
 class ContractCache {
  public:
   /// Returns the decoded records of `x`, decoding only on the first call
@@ -84,12 +89,11 @@ class ContractCache {
   }
 
  private:
-  /// True iff `x` matches the cached fingerprint. On mismatch, drops every
-  /// cached form and re-keys to `x`.
+  /// True iff `x` carries the cached content version. On mismatch, drops
+  /// every cached form and re-keys to `x`.
   bool MatchesOrReset(const SparseTensor& x);
 
-  bool has_key_ = false;
-  uint64_t fingerprint_ = 0;
+  uint64_t version_ = 0;  // 0: keys nothing
   std::shared_ptr<const std::vector<TensorRecord>> records_;
   std::array<std::shared_ptr<const CsfLayout>, kMaxMrOrder> layouts_;
   int64_t hits_ = 0;
@@ -200,7 +204,9 @@ struct SliceBlocks {
 ///
 /// `cache` (optional) serves the DNN/Naive input scan and the in-core
 /// layouts from a per-decomposition ContractCache instead of rebuilding
-/// them; pass nullptr for tensors that change between calls.
+/// them; pass nullptr for tensors that change between calls. A null cache
+/// is replaced by a call-local one, so those forms are built every call
+/// and the DNN/Naive decode counts as an engine invariant_cache_miss.
 Result<SliceBlocks> MultiModeContract(
     Engine* engine, const SparseTensor& x,
     const std::vector<const DenseMatrix*>& factors, int free_mode,

@@ -29,10 +29,10 @@ struct ContractionContext {
   std::vector<int> cmodes;                   // contracted modes, ascending
   std::vector<const DenseMatrix*> cfactors;  // parallel to cmodes
   std::vector<int64_t> block_dims;           // cfactors[s]->cols()
-  /// Per-decomposition cache of iteration-invariant derived forms of `x`
-  /// (decoded records for the dataflow DNN/Naive scan, compressed layouts
-  /// for the in-core kernels); null when the caller's tensor changes
-  /// between evaluations.
+  /// Cache of iteration-invariant derived forms of `x` (decoded records for
+  /// the dataflow DNN/Naive scan, compressed layouts for the in-core
+  /// kernels). Never null: MultiModeContract hands over the caller's
+  /// per-decomposition cache, or a call-local one.
   ContractCache* cache = nullptr;
 
   int num_streams() const { return static_cast<int>(cmodes.size()); }

@@ -892,16 +892,11 @@ Result<SliceBlocks> RunDrn(const ContractionContext& ctx) {
 Result<SliceBlocks> DataflowContraction::Contract(
     const ContractionContext& ctx) const {
   // The DNN/Naive variants start from the decoded coordinate records of x —
-  // an input scan that is invariant across ALS iterations, so a
-  // per-decomposition ContractCache serves it without re-decoding.
+  // an input scan that is invariant across ALS iterations, so the
+  // ContractCache serves it without re-decoding.
   std::shared_ptr<const std::vector<TensorRecord>> base;
   if (ctx.variant == Variant::kDnn || ctx.variant == Variant::kNaive) {
-    if (ctx.cache != nullptr) {
-      base = ctx.cache->Records(ctx.engine, *ctx.x);
-    } else {
-      base = std::make_shared<const std::vector<TensorRecord>>(
-          TensorToRecords(*ctx.x));
-    }
+    base = ctx.cache->Records(ctx.engine, *ctx.x);
   }
 
   // The fused sketched merge presupposes the integrated (DRI) design — a

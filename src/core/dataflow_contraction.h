@@ -16,7 +16,7 @@ namespace haten2 {
 ///
 /// This is a pure code motion of the pre-strategy implementation — output is
 /// bit-identical and the existing driver tests enforce it. The DNN/Naive
-/// input scan is served from ctx.cache when present.
+/// input scan is served from ctx.cache.
 class DataflowContraction : public ContractionStrategy {
  public:
   const char* name() const override { return "dataflow"; }

@@ -1,7 +1,6 @@
 #include "core/incore_contraction.h"
 
 #include <memory>
-#include <utility>
 
 #include "linalg/sparse_kernels.h"
 #include "mapreduce/plan.h"
@@ -19,19 +18,11 @@ Result<SliceBlocks> InCoreContraction::Contract(
   int node = plan.AddProducer<SliceBlocks>(
       StrFormat("InCoreContract[m%d]", ctx.free_mode), {},
       [&ctx, timing]() -> Result<SliceBlocks> {
-        // Layout acquisition: served from the per-decomposition cache when
-        // present (iteration-invariant, like the dataflow record scan),
-        // rebuilt for tensors that change between calls.
+        // Layout acquisition: iteration-invariant, like the dataflow record
+        // scan, so the cache builds it once per (tensor content, mode).
         WallTimer build_timer;
-        std::shared_ptr<const CsfLayout> layout;
-        if (ctx.cache != nullptr) {
-          HATEN2_ASSIGN_OR_RETURN(layout,
-                                  ctx.cache->Layout(*ctx.x, ctx.free_mode));
-        } else {
-          HATEN2_ASSIGN_OR_RETURN(CsfLayout built,
-                                  BuildCsfLayout(*ctx.x, ctx.free_mode));
-          layout = std::make_shared<const CsfLayout>(std::move(built));
-        }
+        HATEN2_ASSIGN_OR_RETURN(std::shared_ptr<const CsfLayout> layout,
+                                ctx.cache->Layout(*ctx.x, ctx.free_mode));
         timing->layout_build_seconds = build_timer.ElapsedSeconds();
 
         // The kernels emit only nnz-touched slices, matching the dataflow

@@ -10,8 +10,7 @@ namespace haten2 {
 ///  - kPairwise as two SpMV-shaped passes per rank block (CsfMttkrp), and
 ///  - kCross as a blocked slice-wise chain (CsfCrossContract),
 /// with no shuffle and no intermediate records. The layout is served from
-/// ctx.cache when present (one build per (tensor, free mode) per
-/// decomposition), rebuilt otherwise.
+/// ctx.cache (one build per (tensor content, free mode) per cache).
 ///
 /// The evaluation is a single plan node named "InCoreContract[m<free>]",
 /// annotated "incore" with a ContractionTiming carrying the layout-build and

@@ -1,21 +1,10 @@
 #include "core/incremental_refit.h"
 
-#include <chrono>
-
 #include "core/checkpoint.h"
 #include "tensor/delta_log.h"
+#include "util/timer.h"
 
 namespace haten2 {
-
-namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-}  // namespace
 
 IncrementalRefitSession::IncrementalRefitSession(
     Engine* engine, SparseTensor base, IncrementalRefitOptions options)
@@ -56,11 +45,11 @@ Status IncrementalRefitSession::Refit() {
   const size_t trace_start = trace->iterations.size();
   als.trace = trace;
 
-  const auto start = std::chrono::steady_clock::now();
+  WallTimer timer;
   HATEN2_ASSIGN_OR_RETURN(
       KruskalModel refit,
       Haten2ParafacAls(engine_, tensor_, options_.rank, als));
-  counters_.refit_seconds += SecondsSince(start);
+  counters_.refit_seconds += timer.ElapsedSeconds();
   counters_.iterations +=
       static_cast<int64_t>(trace->iterations.size() - trace_start);
   for (size_t i = trace->iterations.size(); i > trace_start; --i) {
@@ -78,7 +67,7 @@ Status IncrementalRefitSession::Refit() {
 Status IncrementalRefitSession::FitBase() { return Refit(); }
 
 Status IncrementalRefitSession::RefitWithDelta(const SparseTensor& delta) {
-  const auto start = std::chrono::steady_clock::now();
+  WallTimer timer;
   HATEN2_RETURN_IF_ERROR(MergeDelta(&tensor_, delta));
   if (options_.incremental) {
     // Patch the persistent cache relative to the pre-merge tensor it keys:
@@ -88,7 +77,7 @@ Status IncrementalRefitSession::RefitWithDelta(const SparseTensor& delta) {
     // Full-refit baseline: throw the derived forms away wholesale.
     cache_ = ContractCache();
   }
-  counters_.merge_seconds += SecondsSince(start);
+  counters_.merge_seconds += timer.ElapsedSeconds();
   counters_.delta_nnz += delta.nnz();
   HATEN2_RETURN_IF_ERROR(Refit());
   ++counters_.epochs;

@@ -5,7 +5,7 @@
 #include <queue>
 #include <unordered_set>
 
-#include "mapreduce/hash.h"
+#include "util/hash.h"
 #include "util/string_util.h"
 
 namespace haten2 {

@@ -3,20 +3,12 @@
 #include <cmath>
 
 #include "linalg/linalg.h"
+#include "util/hash.h"
 #include "util/string_util.h"
 
 namespace haten2 {
 
 namespace {
-
-/// splitmix64 finalizer (same constants as mapreduce/hash.h; duplicated so
-/// linalg stays independent of the engine layer).
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// Uniform draw in (0, 1]: the top 53 bits as a double, nudged off zero so
 /// the Box–Muller log never sees 0.

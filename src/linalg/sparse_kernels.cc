@@ -5,6 +5,7 @@
 #include <numeric>
 #include <unordered_map>
 
+#include "util/hash.h"
 #include "util/string_util.h"
 
 namespace haten2 {
@@ -14,18 +15,6 @@ namespace {
 // 512 bytes, comfortably inside L1, and the fixed trip count lets the
 // compiler unroll and vectorize the j-loops.
 constexpr int kRankBlock = 64;
-
-uint64_t Mix64(uint64_t h) {
-  // splitmix64 finalizer.
-  h += 0x9e3779b97f4a7c15ULL;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-  return h ^ (h >> 31);
-}
-
-uint64_t HashCombine(uint64_t seed, uint64_t v) {
-  return Mix64(seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2)));
-}
 
 Status ValidateKernelArgs(const CsfLayout& layout,
                           const std::vector<const DenseMatrix*>& cfactors) {
@@ -471,11 +460,9 @@ uint64_t TensorFingerprint(const SparseTensor& x) {
   for (int64_t d : x.dims()) h = HashCombine(h, static_cast<uint64_t>(d));
   const int64_t nnz = x.nnz();
   h = HashCombine(h, static_cast<uint64_t>(nnz));
-  // Hash every entry's full coordinate tuple and raw value bits. This must
-  // be full-content: the cache guards against in-place rebuilds, and an
+  // Hash every entry's full coordinate tuple and raw value bits: an
   // epoch-delta merge routinely changes a handful of values at arbitrary
-  // positions without moving nnz, which an evenly-sampled hash misses. The
-  // O(nnz) pass is noise next to the O(nnz·rank) contraction a hit saves.
+  // positions without moving nnz, which an evenly-sampled hash misses.
   const int order = x.order();
   for (int64_t e = 0; e < nnz; ++e) {
     const int64_t* c = x.IndexPtr(e);

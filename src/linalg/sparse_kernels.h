@@ -122,11 +122,10 @@ Result<CsfLayout> PatchCsfLayout(const CsfLayout& old_layout,
                                  CsfPatchCounters* counters = nullptr);
 
 /// Content fingerprint of a tensor: mixes order, dims, nnz and every
-/// (coordinate, value) entry. Used by ContractCache so a tensor rebuilt in
-/// place (same address, same nnz, different content) is not mistaken for
-/// the cached one. Full-content by design: an earlier sampled variant
-/// collided on same-nnz edits at unsampled positions, exactly the shape of
-/// an epoch-delta merge.
+/// (coordinate, value) entry, O(nnz). Only perfbench calls it, to price the
+/// full-content check ContractCache made before it keyed on
+/// SparseTensor::content_version(). Values are not persisted anywhere and
+/// may change between releases.
 uint64_t TensorFingerprint(const SparseTensor& x);
 
 }  // namespace haten2

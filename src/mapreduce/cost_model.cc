@@ -5,7 +5,7 @@
 #include <numeric>
 #include <queue>
 
-#include "mapreduce/hash.h"
+#include "util/hash.h"
 
 namespace haten2 {
 

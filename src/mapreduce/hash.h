@@ -8,23 +8,9 @@
 #include <type_traits>
 #include <utility>
 
+#include "util/hash.h"
+
 namespace haten2 {
-
-/// splitmix64 finalizer: cheap, well-mixed 64-bit hash used for shuffle
-/// partitioning. std::hash<int64_t> is the identity on libstdc++, which would
-/// send contiguous tensor indices to contiguous partitions and skew the
-/// simulated shuffle; this mixes properly.
-inline uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
-  return Mix64(seed ^ (Mix64(v) + 0x9e3779b97f4a7c15ULL + (seed << 6) +
-                       (seed >> 2)));
-}
 
 /// Default shuffle hash: integral types, pairs, tuples and strings.
 template <typename T, typename Enable = void>

@@ -129,8 +129,7 @@ Status PlanScheduler::Execute(const Plan& plan) {
   }
 
   WallTimer timer;
-  Status status = max_concurrent_ == 1 ? ExecuteSerial(plan, &stats)
-                                       : ExecuteConcurrent(plan, &stats);
+  Status status = RunNodes(plan, &stats);
   // In-core contraction executors report their phase split through the
   // spec's timing sink; harvest it after the run (failure paths included —
   // a node that died mid-evaluate still shows its layout time).
@@ -148,32 +147,15 @@ Status PlanScheduler::Execute(const Plan& plan) {
   return status;
 }
 
-Status PlanScheduler::ExecuteSerial(const Plan& plan, PlanStats* stats) {
-  // Node-index order is a topological order (deps reference lower indices),
-  // and it is exactly the order the legacy eager drivers issued jobs in —
-  // cap 1 reproduces their job sequence verbatim.
-  stats->max_observed_concurrency = 1;
-  for (int i = 0; i < plan.size(); ++i) {
-    const JobSpec& spec = plan.nodes()[static_cast<size_t>(i)];
-    PlanNodeStats& node = stats->nodes[static_cast<size_t>(i)];
-    Engine::PlanScope scope(stats->plan_id, &node.job_ids);
-    Status s = RunNodeWithRetries(spec, engine_->config(), &node);
-    if (!s.ok()) {
-      node.status = "failed";
-      return s;  // later nodes keep their initial "skipped" status
-    }
-    node.status = "ok";
-  }
-  return Status::OK();
-}
-
-Status PlanScheduler::ExecuteConcurrent(const Plan& plan, PlanStats* stats) {
+Status PlanScheduler::RunNodes(const Plan& plan, PlanStats* stats) {
   const int n = plan.size();
   struct Shared {
     std::mutex mu;
     std::condition_variable wake;
-    // Lowest-index ready node first: deterministic start order, and under a
-    // generous cap the launch sequence matches the serial one.
+    // Lowest-index ready node first: deterministic start order. Deps point
+    // only at lower indices, so the lowest un-run node is always ready once
+    // everything before it finished — at cap 1 nodes run in index order,
+    // and under a generous cap the launch sequence is that same order.
     std::priority_queue<int, std::vector<int>, std::greater<int>> ready;
     std::vector<int> pending_deps;
     std::vector<std::vector<int>> dependents;
@@ -194,9 +176,10 @@ Status PlanScheduler::ExecuteConcurrent(const Plan& plan, PlanStats* stats) {
     if (spec.deps.empty()) shared.ready.push(i);
   }
 
-  // Scheduler-owned threads: node executors call Engine::Run, which fans
-  // out onto the engine's pool — running executors *on* that pool would
-  // deadlock once every pool worker is parked inside a node.
+  // Workers are the calling thread plus scheduler-owned threads: node
+  // executors call Engine::Run, which fans out onto the engine's pool —
+  // running executors *on* that pool would deadlock once every pool worker
+  // is parked inside a node.
   auto worker = [&]() {
     std::unique_lock<std::mutex> lock(shared.mu);
     while (true) {
@@ -246,10 +229,13 @@ Status PlanScheduler::ExecuteConcurrent(const Plan& plan, PlanStats* stats) {
     }
   };
 
+  // The calling thread is worker 0, so a cap-1 plan starts no thread and
+  // its nodes allocate from the caller's malloc arena.
   const int num_workers = std::min(max_concurrent_, n);
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(num_workers));
-  for (int t = 0; t < num_workers; ++t) threads.emplace_back(worker);
+  threads.reserve(static_cast<size_t>(num_workers - 1));
+  for (int t = 1; t < num_workers; ++t) threads.emplace_back(worker);
+  worker();
   for (std::thread& t : threads) t.join();
   return shared.failure;
 }

@@ -13,9 +13,10 @@ namespace haten2 {
 ///   - A node is *ready* once all of its dependencies finished successfully;
 ///     ready nodes start lowest-index-first.
 ///   - At most `max_concurrent` nodes run at a time. With a cap of 1 the
-///     plan executes serially in node-index order — exactly the sequence the
-///     legacy eager drivers produced — so cap 1 is bit-compatible with
-///     pre-plan behaviour.
+///     plan executes serially in node-index order (deps point only at lower
+///     indices, so the lowest un-run node is always the lowest ready one) —
+///     exactly the sequence the legacy eager drivers produced — so cap 1 is
+///     bit-compatible with pre-plan behaviour.
 ///   - On the first node failure no further nodes start; nodes already
 ///     running finish (their engine jobs are real and stay in the pipeline
 ///     log). Un-run nodes are recorded as "skipped", and Execute returns the
@@ -35,11 +36,13 @@ namespace haten2 {
 ///     failures (bad input, contract violations) fail fast, and a node that
 ///     exhausts its attempts fails the plan exactly as before.
 ///
-/// Node executors run on scheduler-owned threads, never on the engine's
-/// worker pool: a node calls Engine::Run, which itself fans out onto the
-/// pool, and nesting that inside a pool task would deadlock a fully
-/// subscribed pool. Each executor runs under an Engine::PlanScope, so every
-/// job it issues is tagged with the plan id and attributed to the node.
+/// Node executors run on min(cap, nodes) workers — the calling thread plus
+/// scheduler-owned threads, so a cap-1 plan starts no thread — never on the
+/// engine's worker pool: a node calls Engine::Run, which itself fans out
+/// onto the pool, and nesting that inside a pool task would deadlock a
+/// fully subscribed pool. Each executor runs under an Engine::PlanScope, so
+/// every job it issues is tagged with the plan id and attributed to the
+/// node.
 ///
 /// Execute records a PlanStats into the engine's pipeline log: the DAG
 /// shape, per-node timing and status, the concurrency actually observed,
@@ -57,8 +60,7 @@ class PlanScheduler {
   int max_concurrent() const { return max_concurrent_; }
 
  private:
-  Status ExecuteSerial(const Plan& plan, PlanStats* stats);
-  Status ExecuteConcurrent(const Plan& plan, PlanStats* stats);
+  Status RunNodes(const Plan& plan, PlanStats* stats);
 
   Engine* engine_;
   int max_concurrent_;

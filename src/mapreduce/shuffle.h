@@ -108,12 +108,6 @@ class ShuffleEmitter {
     return n;
   }
 
-  int64_t InMemoryRecords() const {
-    int64_t n = 0;
-    for (const auto& b : buffers_) n += static_cast<int64_t>(b.size());
-    return n;
-  }
-
   int64_t TotalSpilledRecords() const {
     int64_t n = 0;
     for (int64_t c : spilled_counts_) n += c;

@@ -1,15 +1,37 @@
 #include "tensor/sparse_tensor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace haten2 {
+
+uint64_t SparseTensor::NewContentVersion() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1);
+}
+
+SparseTensor::SparseTensor(SparseTensor&& other) noexcept {
+  *this = std::move(other);
+}
+
+SparseTensor& SparseTensor::operator=(SparseTensor&& other) noexcept {
+  if (this == &other) return *this;
+  dims_ = std::exchange(other.dims_, {});
+  indices_ = std::exchange(other.indices_, {});
+  values_ = std::exchange(other.values_, {});
+  canonical_ = std::exchange(other.canonical_, true);
+  content_version_ =
+      std::exchange(other.content_version_, NewContentVersion());
+  return *this;
+}
 
 Result<SparseTensor> SparseTensor::Create(std::vector<int64_t> dims) {
   if (dims.empty()) {
@@ -72,11 +94,18 @@ void SparseTensor::AppendUnchecked(const int64_t* idx, double value) {
   indices_.insert(indices_.end(), idx, idx + dims_.size());
   values_.push_back(value);
   canonical_ = false;
+  content_version_ = 0;
+}
+
+void SparseTensor::set_value(int64_t e, double v) {
+  values_[static_cast<size_t>(e)] = v;
+  content_version_ = NewContentVersion();
 }
 
 void SparseTensor::Canonicalize() {
   const size_t n = values_.size();
   const size_t ord = dims_.size();
+  content_version_ = NewContentVersion();
   if (n == 0) {
     canonical_ = true;
     return;
@@ -127,6 +156,7 @@ void SparseTensor::Canonicalize() {
 SparseTensor SparseTensor::Binarized() const {
   SparseTensor out(*this);
   std::fill(out.values_.begin(), out.values_.end(), 1.0);
+  out.content_version_ = NewContentVersion();
   return out;
 }
 

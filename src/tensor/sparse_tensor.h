@@ -21,6 +21,13 @@ namespace haten2 {
 /// Invariants after Canonicalize(): entries are sorted lexicographically by
 /// index, duplicate coordinates are summed, and exact zeros are dropped.
 /// Append does not maintain the invariant; builders call Canonicalize() once.
+///
+/// Every tensor carries a content version (content_version()): a nonzero,
+/// process-unique stamp that names its current content. Copies share it;
+/// every completed content change (Canonicalize, set_value, a new tensor)
+/// takes a fresh one, and a moved-from tensor is emptied and restamped.
+/// Caches of derived forms (core/contract.h ContractCache) key on it, so
+/// "is this still the same tensor?" is one integer comparison.
 class SparseTensor {
  public:
   /// Creates an empty 0-way tensor; usable only as a move-assignment target.
@@ -37,8 +44,11 @@ class SparseTensor {
 
   SparseTensor(const SparseTensor&) = default;
   SparseTensor& operator=(const SparseTensor&) = default;
-  SparseTensor(SparseTensor&&) = default;
-  SparseTensor& operator=(SparseTensor&&) = default;
+  /// Moves leave `other` an empty 0-way tensor under a fresh version, so a
+  /// cache keyed by the pre-move version cannot mistake it for the content
+  /// that moved out.
+  SparseTensor(SparseTensor&& other) noexcept;
+  SparseTensor& operator=(SparseTensor&& other) noexcept;
 
   int order() const { return static_cast<int>(dims_.size()); }
   const std::vector<int64_t>& dims() const { return dims_; }
@@ -59,6 +69,8 @@ class SparseTensor {
   Status Append(std::initializer_list<int64_t> idx, double value);
 
   /// Unchecked append for hot paths that already validated coordinates.
+  /// Appends leave the tensor unstamped (content_version() == 0) until the
+  /// next Canonicalize().
   void AppendUnchecked(const int64_t* idx, double value);
 
   /// Index of entry e along `mode`.
@@ -67,7 +79,7 @@ class SparseTensor {
                     static_cast<size_t>(mode)];
   }
   double value(int64_t e) const { return values_[static_cast<size_t>(e)]; }
-  void set_value(int64_t e, double v) { values_[static_cast<size_t>(e)] = v; }
+  void set_value(int64_t e, double v);
 
   /// Pointer to entry e's coordinate tuple (order() consecutive int64s).
   const int64_t* IndexPtr(int64_t e) const {
@@ -79,6 +91,9 @@ class SparseTensor {
   void Canonicalize();
 
   bool canonical() const { return canonical_; }
+
+  /// The stamp of the current content; 0 while appends are pending.
+  uint64_t content_version() const { return content_version_; }
 
   /// Returns bin(X): same pattern, every stored value replaced by 1.0.
   SparseTensor Binarized() const;
@@ -120,6 +135,9 @@ class SparseTensor {
   std::vector<int64_t> indices_;  // nnz * order, row-major per entry
   std::vector<double> values_;
   bool canonical_ = true;  // empty tensor is trivially canonical
+  uint64_t content_version_ = NewContentVersion();
+
+  static uint64_t NewContentVersion();
 };
 
 }  // namespace haten2

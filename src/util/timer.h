@@ -17,8 +17,6 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
   /// Seconds since the last lap (or construction), then restarts: for
   /// contiguous phase segments that sum to the whole.
   double Lap() {

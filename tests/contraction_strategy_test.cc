@@ -2,10 +2,11 @@
 // ClusterConfig::contraction, bit-identity of all four ALS drivers between
 // the dataflow and in-core paths on superdiagonal tensors, the v7 stats
 // surface (per-node strategy, incore/dataflow node counters), and the
-// ContractCache content-fingerprint regression (in-place tensor rebuilds
-// must invalidate, not alias). Both strategies return SliceBlocks whose rows
-// are in ascending slice order by construction, so once the per-cell values
-// agree, every sum a driver forms over the rows agrees too.
+// ContractCache content-version keying (in-place tensor rebuilds and
+// moved-from tensors must invalidate, not alias; a call without a cache
+// returns what a cached call returns). Both strategies return SliceBlocks
+// whose rows are in ascending slice order by construction, so once the
+// per-cell values agree, every sum a driver forms over the rows agrees too.
 
 #include <gtest/gtest.h>
 
@@ -325,7 +326,7 @@ TEST(ContractionStats, V7RecordsStrategyAndTimings) {
 }
 
 // ---------------------------------------------------------------------------
-// ContractCache fingerprint keying (the aliasing-hazard regression).
+// ContractCache content-version keying (the aliasing-hazard regression).
 // ---------------------------------------------------------------------------
 
 TEST(ContractCacheFingerprint, InPlaceRebuildInvalidatesRecords) {
@@ -390,6 +391,75 @@ TEST(ContractCacheFingerprint, DistinctTensorsDoNotAlias) {
   auto rb = cache.Records(/*engine=*/nullptr, b);
   EXPECT_EQ(cache.misses(), 2);
   EXPECT_NE(ra.get(), rb.get());
+}
+
+TEST(ContractCacheVersion, MovedFromTensorMissesInsteadOfAliasing) {
+  Rng rng(8109);
+  SparseTensor a = RandomSparseTensor({6, 5, 4}, 20, &rng);
+
+  ContractCache cache;
+  Result<std::shared_ptr<const CsfLayout>> la = cache.Layout(a, 0);
+  ASSERT_OK(la.status());
+  EXPECT_EQ(cache.layout_misses(), 1);
+
+  // The content moves to `b` with its version, so `b` hits a's layout.
+  SparseTensor b = std::move(a);
+  Result<std::shared_ptr<const CsfLayout>> lb = cache.Layout(b, 0);
+  ASSERT_OK(lb.status());
+  EXPECT_EQ(cache.layout_hits(), 1);
+  EXPECT_EQ(lb->get(), la->get());
+
+  // `a` is emptied by the move (a 0-way tensor, which has no layout): a
+  // lookup keyed by its pre-move version would hand back b's layout for a
+  // tensor that holds nothing.
+  Result<std::shared_ptr<const CsfLayout>> after = cache.Layout(a, 0);
+  EXPECT_EQ(cache.layout_hits(), 1);
+  EXPECT_FALSE(after.ok() && after->get() == lb->get());
+}
+
+TEST(ContractCacheVersion, NullCacheMatchesCachedCallForEveryVariant) {
+  Rng rng(8110);
+  SparseTensor x = RandomSparseTensor({9, 7, 8}, 60, &rng);
+  std::vector<DenseMatrix> owned;
+  std::vector<const DenseMatrix*> factors;
+  for (int m = 0; m < 3; ++m) {
+    owned.push_back(DenseMatrix::RandomNormal(x.dim(m), 3, &rng));
+  }
+  for (auto& f : owned) factors.push_back(&f);
+
+  for (const char* strategy : {"dataflow", "incore"}) {
+    for (Variant variant : kAllVariants) {
+      for (MergeKind kind : {MergeKind::kPairwise, MergeKind::kCross}) {
+        Engine engine(ConfigWithStrategy(strategy));
+        ContractCache cache;
+        for (int free_mode = 0; free_mode < 3; ++free_mode) {
+          Result<SliceBlocks> plain = MultiModeContract(
+              &engine, x, factors, free_mode, kind, variant, nullptr);
+          ASSERT_OK(plain.status());
+          // Twice through the cache: a miss, then a hit.
+          for (int pass = 0; pass < 2; ++pass) {
+            Result<SliceBlocks> cached = MultiModeContract(
+                &engine, x, factors, free_mode, kind, variant, &cache);
+            ASSERT_OK(cached.status());
+            EXPECT_EQ(cached->slice_ids, plain->slice_ids)
+                << strategy << " " << VariantName(variant) << " mode "
+                << free_mode << " pass " << pass;
+            EXPECT_EQ(cached->values, plain->values)
+                << strategy << " " << VariantName(variant) << " mode "
+                << free_mode << " pass " << pass;
+          }
+        }
+        // A null cache decodes DNN/Naive records on every call, and says so.
+        const bool decodes = strategy == std::string("dataflow") &&
+                             (variant == Variant::kDnn ||
+                              variant == Variant::kNaive);
+        EXPECT_EQ(engine.pipeline().invariant_cache_misses, decodes ? 4 : 0)
+            << strategy << " " << VariantName(variant);
+        EXPECT_EQ(engine.pipeline().invariant_cache_hits, decodes ? 5 : 0)
+            << strategy << " " << VariantName(variant);
+      }
+    }
+  }
 }
 
 }  // namespace

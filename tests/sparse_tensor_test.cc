@@ -1,10 +1,16 @@
 // Unit tests for SparseTensor: construction, canonicalization, accessors,
-// slicing-by-collapse, binarization and validation.
+// slicing-by-collapse, binarization, validation and the content version.
 
 #include "tensor/sparse_tensor.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "tensor/delta_log.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -136,6 +142,98 @@ TEST(SparseTensorMisc, DebugStringAndValidateAndIdentical) {
   copy.set_value(0, copy.value(0) + 1.0);
   EXPECT_FALSE(copy.IdenticalTo(t));
   EXPECT_GT(t.ApproxBytes(), 0u);
+}
+
+TEST(SparseTensorContentVersion, CopiesShareEveryChangeRestamps) {
+  Rng rng(6);
+  const SparseTensor base = testing::RandomSparseTensor({7, 6, 5}, 20, &rng);
+  ASSERT_NE(base.content_version(), 0u);
+  SparseTensor copy = base;
+  EXPECT_EQ(copy.content_version(), base.content_version());
+  SparseTensor assigned;
+  assigned = base;
+  EXPECT_EQ(assigned.content_version(), base.content_version());
+
+  Rng delta_rng(7);
+  const SparseTensor delta =
+      testing::RandomSparseTensor({7, 6, 5}, 3, &delta_rng);
+  // Each case applies one content change to a copy of `base` and returns
+  // the version of the tensor that change produced.
+  struct Case {
+    const char* name;
+    std::function<uint64_t(SparseTensor*)> change;
+  };
+  const std::vector<Case> cases = {
+      {"Canonicalize",
+       [](SparseTensor* t) {
+         t->Canonicalize();
+         return t->content_version();
+       }},
+      {"Canonicalize of an empty tensor",
+       [](SparseTensor*) {
+         Result<SparseTensor> empty = SparseTensor::Create({3, 3});
+         HATEN2_CHECK(empty.ok());
+         const uint64_t created = empty->content_version();
+         empty->Canonicalize();
+         EXPECT_NE(empty->content_version(), created);
+         return empty->content_version();
+       }},
+      {"set_value",
+       [](SparseTensor* t) {
+         t->set_value(0, t->value(0));
+         return t->content_version();
+       }},
+      {"Binarized",
+       [](SparseTensor* t) { return t->Binarized().content_version(); }},
+      {"CollapseMode",
+       [](SparseTensor* t) { return t->CollapseMode(1)->content_version(); }},
+      {"MergeDelta",
+       [&delta](SparseTensor* t) {
+         EXPECT_OK(MergeDelta(t, delta));
+         return t->content_version();
+       }},
+      {"move-construct source",
+       [](SparseTensor* t) {
+         const uint64_t before = t->content_version();
+         SparseTensor moved = std::move(*t);
+         EXPECT_EQ(moved.content_version(), before);
+         EXPECT_EQ(t->order(), 0);
+         EXPECT_EQ(t->nnz(), 0);
+         return t->content_version();
+       }},
+      {"move-assign source",
+       [](SparseTensor* t) {
+         const uint64_t before = t->content_version();
+         SparseTensor moved;
+         moved = std::move(*t);
+         EXPECT_EQ(moved.content_version(), before);
+         EXPECT_EQ(t->nnz(), 0);
+         return t->content_version();
+       }},
+  };
+  std::set<uint64_t> seen = {base.content_version()};
+  for (const Case& c : cases) {
+    SparseTensor t = base;
+    const uint64_t version = c.change(&t);
+    EXPECT_NE(version, 0u) << c.name;
+    EXPECT_TRUE(seen.insert(version).second)
+        << c.name << " reused version " << version;
+  }
+}
+
+TEST(SparseTensorContentVersion, AppendsLeaveTheTensorUnstamped) {
+  Result<SparseTensor> t = SparseTensor::Create3(3, 3, 3);
+  ASSERT_OK(t.status());
+  EXPECT_NE(t->content_version(), 0u);
+  ASSERT_OK(t->Append({2, 1, 0}, 1.5));
+  EXPECT_EQ(t->content_version(), 0u);
+  const int64_t idx[] = {0, 1, 2};
+  t->AppendUnchecked(idx, 2.5);
+  EXPECT_EQ(t->content_version(), 0u);
+  SparseTensor copy = *t;
+  EXPECT_EQ(copy.content_version(), 0u);
+  t->Canonicalize();
+  EXPECT_NE(t->content_version(), 0u);
 }
 
 TEST(SparseTensorNumCells, SaturatesInsteadOfOverflowing) {

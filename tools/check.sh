@@ -12,10 +12,12 @@
 # cluster-config validation suites (the slot simulation is consulted from
 # worker threads via stats export), and the distributed subprocess backend
 # (the coordinator forks worker gangs out of a threaded process — see the
-# die_after_fork note in src/distributed/worker_pool.cc). TSan over the
-# whole suite roughly
-# 10x-es the run for code
-# that is single-threaded by construction. Each sanitizer
+# die_after_fork note in src/distributed/worker_pool.cc), plus the
+# contraction, ContractCache, SparseTensor and incremental-refit suites
+# (their plans run through the scheduler, and the in-core node reads and
+# fills the ContractCache from inside a plan). TSan over the whole suite
+# roughly 10x-es the run for code that is single-threaded by construction.
+# Each sanitizer
 # gets its own build tree (build-<sanitizer>) so the instrumented objects
 # never mix with the normal build. Benchmarks and examples are skipped —
 # the tests are what the sanitizers need to see.
@@ -44,7 +46,7 @@ for san in "${sanitizers[@]}"; do
   cmake --build "${build_dir}" -j
   ctest_args=()
   if [[ "${san}" == "thread" ]]; then
-    ctest_args=(-R '^(Serving|Engine|MapReduce|Spill|Scheduler|Plan|CostModel|Speculation|ClusterConfig|MachineProfile|Distributed|Worker)')
+    ctest_args=(-R '^(Serving|Engine|MapReduce|Spill|Scheduler|Plan|CostModel|Speculation|ClusterConfig|MachineProfile|Distributed|Worker|Contraction|ContractCache|SparseTensor|IncrementalRefit)')
   fi
   echo "=== ${san}: testing ==="
   (cd "${build_dir}" && ctest --output-on-failure "${ctest_args[@]}" -j)

@@ -196,25 +196,6 @@ Result<Variant> ParseVariant(const std::string& name) {
   return Status::InvalidArgument("unknown variant: " + name);
 }
 
-Status WriteFactors(const std::vector<DenseMatrix>& factors,
-                    const std::string& prefix) {
-  for (size_t m = 0; m < factors.size(); ++m) {
-    HATEN2_RETURN_IF_ERROR(WriteMatrixText(
-        factors[m], StrFormat("%s.mode%zu.txt", prefix.c_str(), m)));
-  }
-  return Status::OK();
-}
-
-Status WriteKruskalOutput(const KruskalModel& model,
-                          const std::string& prefix) {
-  HATEN2_RETURN_IF_ERROR(WriteFactors(model.factors, prefix));
-  DenseMatrix lambda(static_cast<int64_t>(model.lambda.size()), 1);
-  for (size_t r = 0; r < model.lambda.size(); ++r) {
-    lambda(static_cast<int64_t>(r), 0) = model.lambda[r];
-  }
-  return WriteMatrixText(lambda, prefix + ".lambda.txt");
-}
-
 /// Loads --ingest_log: a binary delta log as-is, or any tensor file chopped
 /// into epochs of `epoch_nnz` entries in storage order.
 Result<DeltaLog> LoadIngestLog(const std::string& path,
@@ -525,7 +506,7 @@ int RealMain(int argc, char** argv) {
           HumanSeconds(rc.refit_seconds).c_str(),
           HumanSeconds(timer.ElapsedSeconds()).c_str());
       if (!output.empty()) {
-        output_status = WriteKruskalOutput(session.model(), output);
+        output_status = SaveKruskalModel(session.model(), output);
         if (output_status.ok()) {
           std::printf("wrote %s.mode*.txt and %s.lambda.txt\n",
                       output.c_str(), output.c_str());
@@ -546,19 +527,11 @@ int RealMain(int argc, char** argv) {
                   model->iterations,
                   HumanSeconds(timer.ElapsedSeconds()).c_str());
       if (!output.empty()) {
-        Status io = WriteFactors(model->factors, output);
-        if (io.ok()) {
-          DenseMatrix lambda(static_cast<int64_t>(model->lambda.size()), 1);
-          for (size_t r = 0; r < model->lambda.size(); ++r) {
-            lambda(static_cast<int64_t>(r), 0) = model->lambda[r];
-          }
-          io = WriteMatrixText(lambda, output + ".lambda.txt");
-        }
-        if (io.ok()) {
+        output_status = SaveKruskalModel(*model, output);
+        if (output_status.ok()) {
           std::printf("wrote %s.mode*.txt and %s.lambda.txt\n",
                       output.c_str(), output.c_str());
         }
-        output_status = io;
       }
     }
   } else if (method == "tucker" || method == "tucker-nn") {
@@ -591,16 +564,11 @@ int RealMain(int argc, char** argv) {
                   model->iterations,
                   HumanSeconds(timer.ElapsedSeconds()).c_str());
       if (!output.empty()) {
-        Status io = WriteFactors(model->factors, output);
-        if (io.ok()) {
-          io = WriteTensorText(model->core.ToSparse(),
-                               output + ".core.txt");
-        }
-        if (io.ok()) {
+        output_status = SaveTuckerModel(*model, output);
+        if (output_status.ok()) {
           std::printf("wrote %s.mode*.txt and %s.core.txt\n",
                       output.c_str(), output.c_str());
         }
-        output_status = io;
       }
     }
   } else {
