@@ -37,10 +37,10 @@ std::vector<TensorRecord> TensorToRecords(const SparseTensor& x);
 /// change restamps the tensor, so a tensor rebuilt in place misses instead
 /// of aliasing stale data, and a hit costs one integer comparison instead
 /// of a pass over the tensor. Copies share their source's version and hit;
-/// an unstamped tensor (appends pending) never hits. Tensors that
-/// genuinely change every evaluation — e.g. the EM residual in
-/// missing_values.cc — bypass it (pass nullptr to MultiModeContract): they
-/// would miss and rebuild anyway.
+/// an unstamped tensor (appends pending) never hits. A tensor that changes
+/// every few evaluations gets a cache of matching lifetime — the EM
+/// residual in missing_values.cc gets one per EM iteration; one that
+/// changes every evaluation can pass nullptr to MultiModeContract.
 ///
 /// Not synchronized: drivers contract one mode at a time, so one thread at
 /// a time touches the cache — the driver directly (Records), or the in-core

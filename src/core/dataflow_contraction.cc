@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -42,12 +43,6 @@ struct NaiveValue {
   int64_t j;  // index along the contracted mode
   double value;
   uint8_t kind;  // 0 = tensor entry, 1 = broadcast vector element
-};
-
-struct CoordStdHash {
-  size_t operator()(const Coord& c) const {
-    return static_cast<size_t>(ShuffleHash<Coord>()(c));
-  }
 };
 
 /// Kolda-order weights for the contracted modes: stream 0 varies fastest.
@@ -268,12 +263,14 @@ Result<SliceBlocks> RunMergeJob(const ContractionContext& ctx,
   auto reducer = [&](const int64_t& slice,
                      std::vector<HadamardRecord>& values,
                      OutputEmitter<int64_t, std::vector<double>>* out) {
-    // Join the streams on the original tensor coordinate.
+    // Join the streams on the original tensor coordinate. Each (coord,
+    // stream, col) cell has one producer and coordinates are summed in
+    // ascending order, so the block depends on the records received, not
+    // on their arrival order.
     struct PerCoord {
       std::array<std::vector<double>, kMaxMrOrder - 1> stream_vals;
     };
-    std::unordered_map<Coord, PerCoord, CoordStdHash> joins;
-    joins.reserve(values.size() / std::max(1, num_streams));
+    std::map<Coord, PerCoord> joins;
     for (const HadamardRecord& rec : values) {
       PerCoord& pc = joins[rec.coord];
       auto& vals = pc.stream_vals[static_cast<size_t>(rec.stream)];

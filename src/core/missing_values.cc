@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "core/als_harness.h"
+#include "core/contract.h"
 #include "core/records.h"
 #include "linalg/linalg.h"
 #include "util/random.h"
@@ -164,13 +165,17 @@ Result<MissingValueModel> Haten2ParafacMissing(
 
     // M-step: one ALS sweep on X̂. MTTKRP(X̂, n) = MTTKRP_MR(D, n) +
     // A_old diag(λ_old) * (∗_{m≠n} A_m_oldᵀ A_m_cur) by multilinearity.
+    // The residual is fixed for the sweep, so one iteration-local cache
+    // decodes it once for all modes.
+    ContractCache residual_cache;
     for (int n = 0; n < order; ++n) {
       DenseMatrix mttkrp(x.dim(n), rank);
       if (residual.nnz() > 0) {
         HATEN2_ASSIGN_OR_RETURN(
             SliceBlocks y,
             MultiModeContract(engine, residual, out.model.FactorPtrs(), n,
-                              MergeKind::kPairwise, options.base.variant));
+                              MergeKind::kPairwise, options.base.variant,
+                              &residual_cache));
         mttkrp = y.ToDenseMatrix();
       }
       // Closed-form MTTKRP of the frozen model tensor.

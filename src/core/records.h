@@ -17,7 +17,9 @@ namespace haten2 {
 inline constexpr int kMaxMrOrder = 6;
 
 /// Fixed-size coordinate tuple for intermediate records. Unused trailing
-/// slots are set to -1 so equality/hashing are order-independent.
+/// slots are set to -1 so equality, ordering and hashing are
+/// order-independent. Compares lexicographically: the order reducers see
+/// Coord keys in.
 struct Coord {
   std::array<int64_t, kMaxMrOrder> c;
 
@@ -29,6 +31,7 @@ struct Coord {
   }
 
   friend bool operator==(const Coord& a, const Coord& b) = default;
+  friend auto operator<=>(const Coord& a, const Coord& b) = default;
 };
 
 template <>

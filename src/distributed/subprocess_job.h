@@ -31,12 +31,13 @@
 // Bit-identity with the in-process transport: a worker runs its map tasks,
 // combiner, run drains, grouping and reduce loop through the same job core
 // (mapreduce/job_core.h), and the coordinator folds the workers' task
-// reports with the same FoldTaskReports. Per partition, runs are inserted
+// reports with the same FoldTaskReports. Reducers run in ascending key
+// order on both transports. Per partition, runs are inserted
 // task-ascending, each with its spill-drained records before its buffered
-// records — the in-process drain order — so reducer value order, reducer
-// iteration order, and the partition-ascending output concatenation all
-// match byte for byte. Each shuffled run crosses the wire as a spill-codec
-// block.
+// records — the in-process drain order — which fixes each key's value
+// order; how records of different keys interleave does not matter. Each
+// shuffled run crosses the wire as a spill-codec block, which keeps
+// per-key order but not the interleaving.
 //
 // Worker death (crash, kill injection, lost/corrupt/timed-out socket) fails
 // the job with failure kind "worker_lost" and kAborted — the transient
@@ -280,7 +281,8 @@ int SubprocessWorkerMain(
   if (job_fatal) return 0;
 
   // ---- Group: insert forwarded runs in arrival order — the coordinator
-  // sends task-ascending per partition. ----
+  // sends task-ascending per partition, which fixes each key's value
+  // order. ----
   std::vector<GroupMap<KMid, VMid>> groups(
       static_cast<size_t>(num_partitions));
   std::string decoded;
@@ -408,7 +410,8 @@ Result<std::vector<std::pair<KOut, VOut>>> RunSubprocessJob(
   // Shuffled runs keyed (task, partition): raw spill-codec blocks forwarded
   // to reduce owners without decoding (record counts come from the block
   // headers). The ordered map gives the forwarding loop task-ascending
-  // order per partition — the in-process grouping order.
+  // order per partition — the in-process drain order, which fixes each
+  // key's value order.
   std::map<std::pair<int64_t, int64_t>, std::string> runs;
   std::map<std::pair<int64_t, int64_t>, int64_t> run_counts;
   for (int w = 0; w < W; ++w) {

@@ -23,8 +23,8 @@ namespace haten2 {
 // cells in ascending mode order — exactly the association the dataflow
 // merge uses. Slices or fibers holding a single nonzero therefore produce
 // bit-identical cells to the dataflow path; multi-entry sums agree to
-// rounding (the dataflow reducer's hash-map iteration order is not
-// reproducible either way).
+// rounding (the dataflow merge sums a slice's coordinates in ascending
+// coordinate order, the kernels in layout order).
 
 /// Compressed slice-major layout of one (tensor, free mode) pair — "CSF-lite".
 ///

@@ -176,16 +176,19 @@ class Engine {
 
   /// Runs one MapReduce job.
   ///
-  /// \tparam KMid/VMid intermediate key/value (fixed-size; the key without
-  ///         padding bytes — see mapreduce/job_core.h); KOut/VOut output
-  ///         key/value.
+  /// \tparam KMid/VMid intermediate key/value (fixed-size; the key totally
+  ///         ordered and without padding bytes — see
+  ///         mapreduce/job_core.h); KOut/VOut output key/value.
   /// \param name      job name for the stats log.
   /// \param num_input_records  reader is called for indices [0, n).
   /// \param reader    void(int64_t index, ShuffleEmitter<KMid, VMid>*).
   /// \param reducer   void(const KMid&, std::vector<VMid>&,
-  ///                       OutputEmitter<KOut, VOut>*).
+  ///                       OutputEmitter<KOut, VOut>*), called once per key
+  ///                  in ascending key order within each reduce partition,
+  ///                  with the key's values in emission order (without a
+  ///                  combiner, the order of the input indices).
   /// \param combiner  optional VMid(const VMid&, const VMid&), associative.
-  /// \returns the concatenated reducer outputs (order unspecified).
+  /// \returns the reducer outputs, concatenated partition-ascending.
   template <typename KMid, typename VMid, typename KOut, typename VOut,
             typename ReaderFn, typename ReduceFn>
   Result<std::vector<std::pair<KOut, VOut>>> Run(

@@ -55,15 +55,6 @@ struct ShuffleHash<std::string> {
   }
 };
 
-/// ShuffleHash as a std::hash-shaped functor, for the engine's unordered
-/// maps (the combine fold and the reduce-side group map).
-template <typename K>
-struct ShuffleHasher {
-  size_t operator()(const K& k) const {
-    return static_cast<size_t>(ShuffleHash<K>()(k));
-  }
-};
-
 }  // namespace haten2
 
 #endif  // HATEN2_MAPREDUCE_HASH_H_

@@ -21,23 +21,27 @@
 //   GroupMap, ReducePartition
 //                    the reduce-side grouping and the reduce loop
 //
-// A record takes the same path through emitter, combiner, run drain, group
-// map and reducer on either transport, so the two are bit-identical by
-// construction: reducer value order, reducer iteration order, and the
-// partition-ascending output concatenation all match, provided a
-// transport inserts each partition's runs task-ascending.
+// The ordering rule, held here for both transports: the reducer is called
+// once per key in ascending key order, and each key's values arrive in
+// (task, spilled-then-buffered, emission) order — Hadoop's sorted-reducer
+// contract. A transport therefore inserts each partition's runs
+// task-ascending, which fixes per-key value order only; the order in which
+// records of different keys arrive does not matter. With the partition-
+// ascending output concatenation, a job's output is then a function of its
+// per-key value sequences alone: the same on either transport, with or
+// without spilling.
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "mapreduce/cluster.h"
-#include "mapreduce/hash.h"
 #include "mapreduce/shuffle.h"
 #include "mapreduce/stats.h"
 #include "util/memory_tracker.h"
@@ -166,6 +170,8 @@ TaskReport RunMapTask(const ClusterConfig& config, const JobShape& shape,
                 "intermediate values must be fixed-size records");
   static_assert(HasNoPaddingBytes<K>::value,
                 "intermediate keys must have no padding bytes");
+  static_assert(std::totally_ordered<K>,
+                "reducers run in ascending key order (GroupMap)");
   TaskReport rep;
   rep.task = task;
   int attempt = 1;
@@ -275,14 +281,14 @@ Status DrainRun(ShuffleEmitter<K, V>* em, size_t p, ConsumeFn&& consume) {
   return Status::OK();
 }
 
-/// One reduce partition's groups: key -> values in arrival order. The
-/// map's iteration order — a function of the keys' insertion order — is
-/// the reducer call order, so transports must insert identically.
+/// One reduce partition's groups: key -> values in arrival order. Keys
+/// iterate ascending, so the reducer call order is a function of the key
+/// set alone, not of how or in what order the runs arrived.
 template <typename K, typename V>
-using GroupMap = std::unordered_map<K, std::vector<V>, ShuffleHasher<K>>;
+using GroupMap = std::map<K, std::vector<V>>;
 
-/// Calls the reducer once per group in the map's iteration order, frees
-/// the groups, and returns how many there were.
+/// Calls the reducer once per group in ascending key order, frees the
+/// groups, and returns how many there were.
 template <typename K, typename V, typename KOut, typename VOut,
           typename ReduceFn>
 int64_t ReducePartition(GroupMap<K, V>* groups, ReduceFn& reducer,

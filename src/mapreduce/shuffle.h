@@ -13,9 +13,9 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -338,15 +338,13 @@ class OutputEmitter {
 /// Folds duplicate keys of one in-memory partition buffer through the
 /// combiner, exactly as a Hadoop combiner runs at the end of a map task.
 /// Both backends apply it to in-memory buffers only (spilled runs are
-/// shuffled uncombined), and both inherit the resulting record order from
-/// the fold map's iteration order — which is what keeps the shuffled byte
-/// streams, and hence every reduction, bit-identical across backends.
+/// shuffled uncombined). Each key's values fold in emission order, and the
+/// folded records come out in ascending key order.
 template <typename K, typename V>
 void CombineShuffleBuffer(std::vector<std::pair<K, V>>* buf,
                           const std::function<V(const V&, const V&)>& fold) {
   if (buf->size() <= 1) return;
-  std::unordered_map<K, V, ShuffleHasher<K>> merged;
-  merged.reserve(buf->size());
+  std::map<K, V> merged;
   for (auto& rec : *buf) {
     auto [it, inserted] = merged.try_emplace(rec.first, rec.second);
     if (!inserted) it->second = fold(it->second, rec.second);

@@ -117,9 +117,9 @@ size_t EncodeSpillBlock(const char* records, size_t record_count,
   const size_t prefix_bytes = key_bytes < 8 ? key_bytes : 8;
   const size_t tail_bytes = record_bytes - prefix_bytes;
 
-  // Sort by key prefix so consecutive deltas are small. Stable, so the
-  // encoded bytes are deterministic for equal prefixes; the decoder undoes
-  // the reorder entirely via the stored permutation.
+  // Sort by key prefix so consecutive deltas are small. Stable, and equal
+  // keys have equal prefixes, so each key's records keep their emission
+  // order — all the reduce side needs (mapreduce/job_core.h).
   std::vector<uint32_t> order(record_count);
   std::iota(order.begin(), order.end(), 0u);
   std::stable_sort(order.begin(), order.end(),
@@ -130,20 +130,9 @@ size_t EncodeSpillBlock(const char* records, size_t record_count,
 
   const size_t header_at = out->size();
   out->append(kSpillBlockHeaderBytes, '\0');
-
-  // The sort permutation (original index of each sorted position) comes
-  // first: the decoder scatters records back to their emission slots, so
-  // the decoded byte stream — and hence everything downstream of the drain,
-  // including floating-point summation order — is identical to the raw
-  // format's. Costs ~log2(run length)/7 bytes per record against the 8-byte
-  // prefix the deltas save.
-  for (size_t i = 0; i < record_count; ++i) {
-    AppendVarint(order[i], out);
-  }
-
   uint64_t prev = 0;
-  for (size_t i = 0; i < record_count; ++i) {
-    const char* rec = records + static_cast<size_t>(order[i]) * record_bytes;
+  for (uint32_t idx : order) {
+    const char* rec = records + static_cast<size_t>(idx) * record_bytes;
     uint64_t prefix = KeyPrefix(rec, key_bytes);
     AppendVarint(prefix - prev, out);  // sorted, so the delta is non-negative
     prev = prefix;
@@ -164,35 +153,19 @@ Status DecodeSpillBlockPayload(const SpillBlockHeader& header,
                                size_t record_bytes, size_t key_bytes,
                                const std::string& context,
                                std::string* records_out) {
+  const size_t prefix_bytes = key_bytes < 8 ? key_bytes : 8;
+  const size_t tail_bytes = record_bytes - prefix_bytes;
+  // Every record costs at least one varint byte plus its tail, which bounds
+  // the count before anything is allocated for it.
+  if (header.record_count > payload_size / (tail_bytes + 1)) {
+    return Status::IOError("truncated spill block payload at " + context);
+  }
   if (header.raw_bytes != header.record_count * record_bytes) {
     return Status::IOError("spill block raw-byte count disagrees with its "
                            "record count at " +
                            context);
   }
-  const size_t prefix_bytes = key_bytes < 8 ? key_bytes : 8;
-  const size_t tail_bytes = record_bytes - prefix_bytes;
   size_t pos = 0;
-
-  // Permutation first: it must be a bijection on [0, record_count) or the
-  // scatter below would silently drop or duplicate records.
-  std::vector<uint64_t> perm(header.record_count, 0);
-  std::vector<bool> seen(header.record_count, false);
-  for (uint64_t i = 0; i < header.record_count; ++i) {
-    uint64_t idx = 0;
-    size_t used = DecodeVarint(payload + pos, payload_size - pos, &idx);
-    if (used == 0) {
-      return Status::IOError("corrupt permutation varint in spill block at " +
-                             context);
-    }
-    pos += used;
-    if (idx >= header.record_count || seen[idx]) {
-      return Status::IOError("corrupt permutation in spill block at " +
-                             context);
-    }
-    seen[idx] = true;
-    perm[i] = idx;
-  }
-
   const size_t base = records_out->size();
   records_out->resize(base + header.record_count * record_bytes);
   uint64_t prev = 0;
@@ -209,7 +182,7 @@ Status DecodeSpillBlockPayload(const SpillBlockHeader& header,
     prev += delta;
     char prefix[8];
     StoreU64(prev, prefix);
-    char* dst = records_out->data() + base + perm[i] * record_bytes;
+    char* dst = records_out->data() + base + i * record_bytes;
     std::memcpy(dst, prefix, prefix_bytes);
     std::memcpy(dst + prefix_bytes, payload + pos, tail_bytes);
     pos += tail_bytes;

@@ -15,14 +15,16 @@ namespace haten2 {
 /// `kNone` writes raw fixed-size records — byte-for-byte the historical
 /// format, kept as the deterministic test double. `kDeltaVarint` writes each
 /// spill run as one self-describing block: a fixed header carrying the raw
-/// and encoded byte counts plus the record count, then the varint-coded
-/// sort permutation, then a payload in which records are sorted by an
-/// 8-byte key prefix, the prefix delta-encoded against its predecessor and
-/// varint-coded, and the rest of each record (key tail, padding, value)
-/// stored raw. The decoder scatters records back through the permutation,
-/// reproducing the spilled byte stream exactly — so the drain, the reducer
-/// inputs, and every decomposition result are bit-identical with
-/// compression on or off (docs/INTERNALS.md, Accounting).
+/// and encoded byte counts plus the record count, then a payload in which
+/// records are stably sorted by an 8-byte key prefix, the prefix
+/// delta-encoded against its predecessor and varint-coded, and the rest of
+/// each record (key tail, value) stored raw. The decoder returns the records
+/// in that sorted order. Equal keys have equal prefixes, so each key's
+/// records keep their emission order; records of different keys may come
+/// back reordered, which the reduce side never observes — reducers run in
+/// ascending key order over per-key value lists (mapreduce/job_core.h). So
+/// the reducer inputs, and every decomposition result, are bit-identical
+/// with compression on or off (docs/INTERNALS.md, Accounting).
 enum class SpillCompression : int {
   kNone = 0,
   kDeltaVarint = 1,
@@ -70,17 +72,17 @@ Result<SpillBlockHeader> ParseSpillBlockHeader(const char* data, size_t size,
 
 /// Encodes one spill run of `record_count` fixed-size records
 /// (`record_bytes` wide each, key in the first `key_bytes`) as a
-/// header + permutation + delta/varint payload appended to *out. Returns
-/// the number of bytes appended. Decoding restores the records in their
-/// original order, byte for byte.
+/// header + delta/varint payload appended to *out. Returns the number of
+/// bytes appended. Decoding restores the same records byte for byte,
+/// stably sorted by key prefix, so each key's records keep their order.
 size_t EncodeSpillBlock(const char* records, size_t record_count,
                         size_t record_bytes, size_t key_bytes,
                         std::string* out);
 
 /// Decodes a block payload (its header already parsed) back into raw
-/// records appended to *records_out, in their original pre-sort order.
-/// Rejects payloads whose varints are malformed, whose permutation is not
-/// a bijection, or whose decoded size disagrees with the header. `context`
+/// records appended to *records_out, in the encoder's key-prefix order.
+/// Rejects payloads whose varints are malformed or whose decoded size
+/// disagrees with the header. `context`
 /// names the spill file and block offset for the error message.
 Status DecodeSpillBlockPayload(const SpillBlockHeader& header,
                                const char* payload, size_t payload_size,

@@ -4,7 +4,8 @@
 // surface (per-node strategy, incore/dataflow node counters), and the
 // ContractCache content-version keying (in-place tensor rebuilds and
 // moved-from tensors must invalidate, not alias; a call without a cache
-// returns what a cached call returns). Both strategies return SliceBlocks
+// returns what a cached call returns), and that the dataflow DRI/DRN
+// results do not depend on the job shape. Both strategies return SliceBlocks
 // whose rows are in ascending slice order by construction, so once the
 // per-cell values agree, every sum a driver forms over the rows agrees too.
 
@@ -281,6 +282,54 @@ TEST(ContractionBitIdentity, ParafacMissingValues) {
           << strategy << " mode " << m;
     }
     EXPECT_GT(engine.pipeline().IncoreNodes(), 0) << strategy;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Job-shape invariance: the paper's Fig. 8 varies only the machine count,
+// so the DRI and DRN factors must not depend on how a job is split into
+// map tasks and reduce partitions. Reducers run in ascending key order and
+// the merge sums a slice's coordinates in ascending order, so they don't.
+// ---------------------------------------------------------------------------
+
+ClusterConfig ShapedConfig(int map_tasks, int reduce_tasks) {
+  ClusterConfig config = ConfigWithStrategy("dataflow");
+  config.num_map_tasks = map_tasks;
+  config.num_reduce_tasks = reduce_tasks;
+  return config;
+}
+
+TEST(ContractionShapeInvariance, DriAndDrnIgnoreTaskAndPartitionCounts) {
+  Rng rng(8105);
+  SparseTensor x = RandomSparseTensor({14, 11, 9}, 400, &rng);
+  Haten2Options options;
+  options.max_iterations = 3;
+  options.tolerance = 0.0;
+  for (Variant variant : {Variant::kDri, Variant::kDrn}) {
+    SCOPED_TRACE(VariantName(variant));
+    options.variant = variant;
+    Engine a(ShapedConfig(4, 4));
+    Engine b(ShapedConfig(7, 3));
+
+    Result<KruskalModel> cp_a = Haten2ParafacAls(&a, x, 3, options);
+    Result<KruskalModel> cp_b = Haten2ParafacAls(&b, x, 3, options);
+    ASSERT_OK(cp_a.status());
+    ASSERT_OK(cp_b.status());
+    EXPECT_EQ(cp_b->lambda, cp_a->lambda);
+    for (size_t m = 0; m < 3; ++m) {
+      EXPECT_EQ(cp_b->factors[m].MaxAbsDiff(cp_a->factors[m]), 0.0)
+          << "parafac mode " << m;
+    }
+
+    Result<TuckerModel> tk_a = Haten2TuckerAls(&a, x, {3, 3, 2}, options);
+    Result<TuckerModel> tk_b = Haten2TuckerAls(&b, x, {3, 3, 2}, options);
+    ASSERT_OK(tk_a.status());
+    ASSERT_OK(tk_b.status());
+    EXPECT_EQ(tk_b->core.MaxAbsDiff(tk_a->core), 0.0);
+    for (size_t m = 0; m < 3; ++m) {
+      EXPECT_EQ(tk_b->factors[m].MaxAbsDiff(tk_a->factors[m]), 0.0)
+          << "tucker mode " << m;
+    }
   }
 }
 

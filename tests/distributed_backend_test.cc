@@ -4,7 +4,8 @@
 // kUnimplemented, and a worker killed mid-job must surface as kAborted
 // ("worker_lost"), feed the plan-level node retry, and still converge
 // bit-identically — with the restart/retry counters visible in the
-// haten2-stats-v9 JSON export.
+// haten2-stats-v9 JSON export. Reducers see their keys ascending, each
+// key's values in input order, on every transport.
 
 #include <gtest/gtest.h>
 
@@ -238,6 +239,53 @@ TEST(DistributedBackendTest, NonSerializableOutputIsUnimplemented) {
       << result.status().ToString();
   EXPECT_NE(result.status().ToString().find("backend-string-out"),
             std::string::npos);
+}
+
+// The engine's ordering rule (mapreduce/job_core.h): one reducer call per
+// key in ascending key order, each key's values in input order — on either
+// transport, with or without (compressed) spilling. Each output record is
+// one reducer call, (key, its values), in call order within a partition.
+TEST(ReduceOrder, KeysAscendValuesKeepInputOrderOnEveryTransport) {
+  constexpr int kPartitions = 3;
+  auto run = [](const ClusterConfig& config) {
+    Engine engine(config);
+    // Keys 0..46 first appear in a scrambled order; every value is its
+    // input index.
+    auto result = engine.Run<int64_t, double, int64_t, std::vector<double>>(
+        "reduce-order", 470,
+        [](int64_t i, ShuffleEmitter<int64_t, double>* em) {
+          em->Emit((i * 17) % 47, static_cast<double>(i));
+        },
+        [](const int64_t& key, std::vector<double>& values,
+           OutputEmitter<int64_t, std::vector<double>>* out) {
+          out->Emit(key, values);
+        });
+    HATEN2_CHECK(result.ok()) << result.status().ToString();
+    return std::move(result).value();
+  };
+  ClusterConfig inprocess = BaseConfig();
+  inprocess.num_reduce_tasks = kPartitions;
+  ClusterConfig spilling = inprocess;
+  spilling.spill_threshold_records = 2;
+  spilling.spill_compression = SpillCompression::kDeltaVarint;
+  const auto want = run(inprocess);
+  const auto spilled = run(spilling);
+  const auto subprocess = run(WithSubprocessBackend(inprocess, 3));
+
+  ASSERT_EQ(want.size(), 47u);
+  std::vector<int64_t> last_key(kPartitions, -1);
+  for (const auto& [key, values] : want) {
+    const size_t p =
+        static_cast<size_t>(ShuffleHash<int64_t>()(key) % kPartitions);
+    EXPECT_GT(key, last_key[p]) << "partition " << p;
+    last_key[p] = key;
+    ASSERT_EQ(values.size(), 10u) << "key " << key;
+    for (size_t v = 1; v < values.size(); ++v) {
+      EXPECT_LT(values[v - 1], values[v]) << "key " << key;
+    }
+  }
+  EXPECT_EQ(spilled, want);
+  EXPECT_EQ(subprocess, want);
 }
 
 // ---------------------------------------------------------------------------

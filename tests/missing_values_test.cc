@@ -1,6 +1,7 @@
 // Tests for the missing-value PARAFAC extension (EM-ALS over the
-// distributed bottleneck op): validation, monotone observed fit, and
-// completion of a low-rank tensor from partial observations.
+// distributed bottleneck op): validation, monotone observed fit,
+// completion of a low-rank tensor from partial observations, and one
+// residual decode per EM iteration.
 
 #include "core/missing_values.h"
 
@@ -138,6 +139,27 @@ TEST(MissingValues, FullyObservedMatchesPlainParafacFit) {
   Result<KruskalModel> direct = Haten2ParafacAls(&engine, x, 3, plain);
   ASSERT_OK(direct.status());
   EXPECT_NEAR(em->observed_fit, direct->fit, 0.02);
+}
+
+TEST(MissingValues, ResidualDecodedOncePerEmIteration) {
+  // The residual changes every EM iteration but is fixed across that
+  // iteration's per-mode contractions: DNN and Naive decode it once per
+  // iteration and hit for the other modes.
+  CompletionFixture fx = MakeFixture(0.5, 305);
+  for (Variant variant : {Variant::kDnn, Variant::kNaive}) {
+    SCOPED_TRACE(VariantName(variant));
+    Engine engine(ClusterConfig::ForTesting());
+    MissingValueOptions options;
+    options.em_iterations = 4;
+    options.em_tolerance = 0.0;
+    options.base.variant = variant;
+    Result<MissingValueModel> result =
+        Haten2ParafacMissing(&engine, fx.data, fx.observed, 2, options);
+    ASSERT_OK(result.status());
+    ASSERT_EQ(result->em_iterations, 4);
+    EXPECT_EQ(engine.pipeline().invariant_cache_misses, 4);
+    EXPECT_EQ(engine.pipeline().invariant_cache_hits, 8);
+  }
 }
 
 TEST(MissingValues, Validation) {

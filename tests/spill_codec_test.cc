@@ -1,12 +1,13 @@
 // Tests for the block-compressed spill format: varint primitives, block
-// round-trips, corrupted-block rejection, compression effectiveness on
-// clustered keys, and end-to-end bit-identity of decompositions with
-// compression on vs off.
+// round-trips (same records, each key's in emission order), corrupted-block
+// rejection, compression effectiveness on clustered keys, and end-to-end
+// bit-identity of decompositions with compression on vs off.
 
 #include "mapreduce/spill_codec.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -140,50 +141,51 @@ TEST(SpillCodecBlock, RoundTripsSortedKeys) {
   EXPECT_EQ(RoundTrip(records), records);
 }
 
+/// Stably sorts `records` by key: two runs agree here exactly when they hold
+/// the same records with each key's records in the same order.
+std::vector<Record> PerKeyOrder(std::vector<Record> records) {
+  std::stable_sort(records.begin(), records.end(),
+                   [](const Record& a, const Record& b) {
+                     return a.first < b.first;
+                   });
+  return records;
+}
+
 TEST(SpillCodecBlock, RoundTripsRandomKeysInEmissionOrder) {
-  // The codec sorts internally for small deltas, but the stored permutation
-  // restores the exact emission order — decode is byte-identical to the
-  // input, not merely equivalent up to reordering.
+  // The codec sorts by key prefix for small deltas and does not undo the
+  // sort: decode returns the same records, keys ascending, with each key's
+  // records still in emission order.
   Rng rng(77);
   std::vector<Record> records;
   for (int i = 0; i < 1000; ++i) {
     records.push_back({static_cast<int64_t>(rng.UniformInt(uint64_t{50})),
                        static_cast<double>(i)});
   }
-  EXPECT_EQ(RoundTrip(records), records);
+  const std::vector<Record> decoded = RoundTrip(records);
+  EXPECT_EQ(decoded, PerKeyOrder(records));
+  EXPECT_NE(decoded, records);
 }
 
 TEST(SpillCodecBlock, RoundTripsNegativeAndExtremeKeys) {
-  // Negative int64 keys have huge unsigned prefixes; deltas still round-trip
-  // via unsigned wraparound arithmetic.
+  // Negative int64 keys have huge unsigned prefixes, so they sort after the
+  // non-negative ones; deltas still round-trip via unsigned wraparound
+  // arithmetic.
   std::vector<Record> records = {{std::numeric_limits<int64_t>::min(), 1.0},
                                  {-1, 2.0},
                                  {0, 3.0},
-                                 {std::numeric_limits<int64_t>::max(), 4.0}};
-  EXPECT_EQ(RoundTrip(records), records);
-}
-
-TEST(SpillCodecBlock, RejectsNonBijectivePermutation) {
-  // Encode two identical keys, then clobber the second permutation entry to
-  // duplicate the first: the decoder must refuse rather than silently drop
-  // and duplicate records.
-  std::vector<Record> records = {{5, 1.0}, {5, 2.0}};
-  std::string encoded;
-  EncodeSpillBlock(RecordBytes(records).data(), records.size(),
-                   sizeof(Record), sizeof(int64_t), &encoded);
-  auto header = ParseSpillBlockHeader(encoded.data(), encoded.size(), "f");
-  ASSERT_TRUE(header.ok());
-  // Permutation of a pre-sorted run is the identity: bytes 0x00 0x01 right
-  // after the header. Duplicate index 0.
-  encoded[kSpillBlockHeaderBytes + 1] = '\0';
-  std::string decoded;
-  Status status = DecodeSpillBlockPayload(
-      *header, encoded.data() + kSpillBlockHeaderBytes,
-      encoded.size() - kSpillBlockHeaderBytes, sizeof(Record),
-      sizeof(int64_t), "f", &decoded);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("permutation"), std::string::npos)
-      << status.ToString();
+                                 {std::numeric_limits<int64_t>::max(), 4.0},
+                                 {-1, 5.0},
+                                 {0, 6.0}};
+  const std::vector<Record> decoded = RoundTrip(records);
+  EXPECT_EQ(PerKeyOrder(decoded), PerKeyOrder(records));
+  const std::vector<Record> prefix_order = {
+      {0, 3.0},
+      {0, 6.0},
+      {std::numeric_limits<int64_t>::max(), 4.0},
+      {std::numeric_limits<int64_t>::min(), 1.0},
+      {-1, 2.0},
+      {-1, 5.0}};
+  EXPECT_EQ(decoded, prefix_order);
 }
 
 TEST(SpillCodecBlock, CompressesClusteredKeys) {
@@ -267,6 +269,27 @@ TEST(SpillCodecBlock, RejectsTruncatedPayload) {
       sizeof(int64_t), "f", &decoded);
   ASSERT_FALSE(status.ok());
   EXPECT_TRUE(status.IsIOError());
+}
+
+TEST(SpillCodecBlock, RejectsRecordCountBeyondPayload) {
+  // A header claiming more records than the payload could hold (each needs
+  // at least a varint byte and its tail) is refused before the decoder
+  // sizes its output for it.
+  std::vector<Record> records;
+  std::string encoded = EncodeFixture(&records);
+  auto header = ParseSpillBlockHeader(encoded.data(), encoded.size(), "f");
+  ASSERT_TRUE(header.ok());
+  header->record_count = uint64_t{1} << 40;
+  header->raw_bytes = header->record_count * sizeof(Record);
+  std::string decoded;
+  Status status = DecodeSpillBlockPayload(
+      *header, encoded.data() + kSpillBlockHeaderBytes,
+      encoded.size() - kSpillBlockHeaderBytes, sizeof(Record),
+      sizeof(int64_t), "f", &decoded);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("truncated"), std::string::npos)
+      << status.ToString();
+  EXPECT_TRUE(decoded.empty());
 }
 
 TEST(SpillCodecBlock, RejectsGarbageVarint) {
